@@ -4,6 +4,9 @@ Row ranges are fixed by a constant block size, each block reduces in its
 own index order, and block results combine in block order.  The thread
 count therefore only decides which worker computes a block, never the
 arithmetic, so results are bitwise independent of the number of threads.
+The energy kernels reduce serially (their blocks are too small for a pool
+to pay); only the far-field quadrature of equivalence_check, whose blocks
+are large, passes a thread count.
 """
 
 from __future__ import annotations

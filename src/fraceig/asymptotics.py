@@ -130,22 +130,9 @@ def s_sweep(
                 raise
             return exc.partial
 
-    threads = cfg.resolved_threads()
-    if threads > 1 and len(s_values) > 1:
-        inner_cfg = dataclasses.replace(cfg, threads=1)
-
-        def solve_point(s: float) -> Eigenpair:
-            try:
-                return first_eigenpair(dom, FracParams(s=s, p=p, t=dom.t), inner_cfg)
-            except ConvergenceError as exc:
-                if exc.partial is None:
-                    raise
-                return exc.partial
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = dict(zip(s_values, pool.map(solve_point, s_values)))
-    else:
-        pairs = {s: solve(s) for s in s_values}
+    # one independent eigensolve per s: the coarse task that threads pay for
+    with ThreadPoolExecutor(max_workers=cfg.resolved_threads()) as pool:
+        pairs = dict(zip(s_values, pool.map(solve, s_values)))
 
     base_pair = pairs[s_base]
     weight_base = 2.5 * dom.diameter_R
@@ -258,7 +245,8 @@ def equivalence_check(
     comes from the radial shell estimates specific to the 4R/1.5R split.
     The far-field quadrature reaches quad_radius_factor * R before the
     analytic radial tail takes over; that radius dominates the cost on 2D
-    grids, and threads parallelize it without changing the result.
+    grids, and threads parallelize it over fixed blocks without changing
+    the result.
     """
     dom = u.host
     if params.t != 4.0 or dom.t != 4.0:
@@ -280,9 +268,7 @@ def equivalence_check(
     far_idx = np.flatnonzero(far)
     v_total = kern.energy(u_om)
     y_part = 0.0
-    cols = max(1, (1 << 22) // max(dom.n_omega, 1))
-    for lo in range(0, len(far_idx), cols):
-        d = dom.dist_omega_to(far_idx[lo : lo + cols])
+    for _, d in dom.dist_omega_chunks(far_idx):
         y_part += 2.0 * hn * hn * float(np.sum(up[:, None] * d ** (-kern.exponent)))
     x_part = v_total - y_part
 
@@ -408,12 +394,8 @@ def holder_report(u: GridFunction, params: FracParams) -> tuple[float, float]:
     gamma = params.s - n / params.p
     u_om = u.omega_values
     sup_q = 0.0
-    chunk = max(1, (1 << 22) // max(dom.n_omega, 1))
-    all_idx = np.arange(dom.n_cells)
-    for lo in range(0, dom.n_cells, chunk):
-        idx = all_idx[lo : lo + chunk]
-        d = dom.dist_omega_to(idx)
-        dv = np.abs(u_om[:, None] - u.values[idx][None, :])
+    for sl, d in dom.dist_omega_chunks(np.arange(dom.n_cells)):
+        dv = np.abs(u_om[:, None] - u.values[sl][None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.where(d > 0, dv / d**gamma, 0.0)
         sup_q = max(sup_q, float(q.max()))

@@ -47,17 +47,23 @@ def _add_common(sub: argparse.ArgumentParser, with_params: bool = True) -> None:
     sub.add_argument("--max-iter", type=int, default=500)
     sub.add_argument("--max-iter-inner", type=int, default=10000)
     sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--threads", type=int, default=1)
 
 
-def _config(args) -> SolverConfig:
+def _add_threads(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads for coarse independent tasks; never changes a result",
+    )
+
+
+def _config(args, threads: int = 1) -> SolverConfig:
     return SolverConfig(
         tol=args.tol,
         inner_tol=args.inner_tol,
         max_iter_outer=args.max_iter,
         max_iter_inner=args.max_iter_inner,
         seed=args.seed,
-        threads=args.threads,
+        threads=threads,
     )
 
 
@@ -118,17 +124,12 @@ def _parse_s_values(args) -> list[float]:
 
 def cmd_sweep(args) -> int:
     dom = _domain(args)
-    cfg = _config(args)
+    cfg = _config(args, args.threads)
     s_values = _parse_s_values(args)
     base = min(s_values, key=lambda s: abs(s - args.s_base))
     if abs(base - args.s_base) > 1e-9:
         raise ValueError(f"--s-base {args.s_base} is not among the sweep values")
     report = s_sweep(dom, args.p, s_values, base, cfg)
-    if args.inject_lambda:
-        idx_str, val_str = args.inject_lambda.split(":")
-        row = report.rows[int(idx_str)]
-        row.lam = float(val_str)
-        row.weighted_lam = (2.5 * dom.diameter_R) ** (row.s * args.p) * row.lam
     paths = save_sweep_report(report, args.out)
     print(f"wrote {paths['csv']} {paths['json']} {paths['plot']}")
     if any(not r.converged for r in report.rows):
@@ -155,7 +156,7 @@ def cmd_poincare(args) -> int:
 def cmd_verify(args) -> int:
     dom = _domain(args)
     params = FracParams(s=args.s, p=args.p, t=args.t)
-    cfg = _config(args)
+    cfg = _config(args, args.threads)
     results = run_suite(args.suite, dom, params, cfg)
     report = report_dict(args.suite, results, params, cfg)
     save_json(report, args.out)
@@ -195,25 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = subs.add_parser("sweep", help="eigenvalue sweep across s")
-    p_sweep.add_argument("--domain", required=True)
-    p_sweep.add_argument("--p", type=float, required=True)
+    _add_common(p_sweep, with_params=False)
+    _add_threads(p_sweep)
+    p_sweep.add_argument("--p", type=float, required=True, help="exponent p > 1")
     p_sweep.add_argument("--s-list", default=None, help="comma-separated s values")
     p_sweep.add_argument("--s-range", default=None, help="start:stop:step")
     p_sweep.add_argument("--s-base", type=float, required=True)
-    p_sweep.add_argument("--t", type=float, default=4.0)
-    p_sweep.add_argument("--tol", type=float, default=1e-8)
-    p_sweep.add_argument("--inner-tol", type=float, default=1e-10)
-    p_sweep.add_argument("--max-iter", type=int, default=500)
-    p_sweep.add_argument("--max-iter-inner", type=int, default=10000)
-    p_sweep.add_argument("--seed", type=int, default=42)
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--out", default="sweep")
-    p_sweep.add_argument(
-        "--inject-lambda",
-        default=None,
-        metavar="IDX:VALUE",
-        help="testing hook: overwrite one lambda before the monotonicity check",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_poin = subs.add_parser("poincare", help="geometric Poincare constant")
@@ -223,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="randomized property suites")
     _add_common(p_verify)
+    _add_threads(p_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITES + ("all",))
     p_verify.add_argument("--out", default="verify.json")
     p_verify.set_defaults(func=cmd_verify)

@@ -31,10 +31,6 @@ __all__ = [
     "nonlocal_divergence",
 ]
 
-# column budget per chunk when streaming exterior distances
-_CHUNK_ENTRIES = 1 << 22
-
-
 def phi_p(z: NDArray, p: float) -> NDArray:
     """Odd power |z|^(p-2) z, continuously extended by 0 at z = 0."""
     return np.abs(z) ** (p - 1.0) * np.sign(z)
@@ -148,8 +144,8 @@ class EnergyKernel:
 
     Holds the Omega-Omega weight block K_ij = |x_i - x_j|^(-(N+sp)) and the
     per-Omega-cell row sum of weights toward exterior cells.  Energies,
-    gradients and pairings evaluate through deterministic blocked
-    reductions, so their results do not depend on the thread count.
+    gradients and pairings evaluate through fixed-order blocked
+    reductions, so their results are reproducible bit for bit.
     """
 
     def __init__(self, dom: GridDomain, params: FracParams):
@@ -163,7 +159,7 @@ class EnergyKernel:
         self.hn = dom.h**dom.dim
         self.h2n = self.hn * self.hn
 
-        d = dom.dist_omega_omega
+        d = dom.dist_omega_to(dom.omega_indices)
         with np.errstate(divide="ignore"):
             k = d ** (-self.exponent)
         np.fill_diagonal(k, 0.0)
@@ -197,7 +193,7 @@ class EnergyKernel:
             self._quad_factor = factor
         return scipy.linalg.cho_solve(factor, b)
 
-    def scaled_start(self, b: NDArray, threads: int = 1) -> NDArray:
+    def scaled_start(self, b: NDArray) -> NDArray:
         """quad_start rescaled to the exact 1-D minimizer of the objective.
 
         Along a fixed direction v the objective (1/p) energy(c v) - c <b, v>
@@ -206,7 +202,7 @@ class EnergyKernel:
         at a much smaller scale overestimates wildly and the solve crawls).
         """
         v = self.quad_start(b)
-        e_v = self.energy(v, threads)
+        e_v = self.energy(v)
         bv = float(np.dot(b, v))
         if e_v > 0.0 and bv > 0.0:
             return (bv / e_v) ** (1.0 / (self.params.p - 1.0)) * v
@@ -231,32 +227,25 @@ class EnergyKernel:
         return 2.0 * (p - 1.0) * self.h2n * h
 
     def _exterior_row_sums(self) -> NDArray:
-        dom = self.dom
-        others = dom.other_indices
-        n_om = dom.n_omega
-        out = np.zeros(n_om)
-        if len(others) == 0:
-            return out
-        cols = max(1, _CHUNK_ENTRIES // max(n_om, 1))
-        for lo in range(0, len(others), cols):
-            d = dom.dist_omega_to(others[lo : lo + cols])
+        out = np.zeros(self.dom.n_omega)
+        for _, d in self.dom.dist_omega_chunks(self.dom.other_indices):
             out += np.sum(d ** (-self.exponent), axis=1)
         return out
 
     # -- scalar reductions ------------------------------------------------
 
-    def energy(self, u_om: NDArray, threads: int = 1) -> float:
+    def energy(self, u_om: NDArray) -> float:
         p = self.params.p
 
         def block(lo: int, hi: int) -> float:
             diff = u_om[lo:hi, None] - u_om[None, :]
             return float(np.sum(self.K_oo[lo:hi] * np.abs(diff) ** p))
 
-        inner = ordered_sum(map_blocks(block, len(u_om), threads))
+        inner = ordered_sum(map_blocks(block, len(u_om)))
         outer = float(np.sum(self.k_out * np.abs(u_om) ** p))
         return self.h2n * (inner + 2.0 * outer)
 
-    def grad_omega(self, u_om: NDArray, threads: int = 1) -> NDArray:
+    def grad_omega(self, u_om: NDArray) -> NDArray:
         """Gradient of the energy with respect to the Omega values."""
         p = self.params.p
 
@@ -264,15 +253,11 @@ class EnergyKernel:
             diff = u_om[lo:hi, None] - u_om[None, :]
             return np.sum(self.K_oo[lo:hi] * phi_p(diff, p), axis=1)
 
-        rows = np.concatenate(map_blocks(block, len(u_om), threads))
+        rows = np.concatenate(map_blocks(block, len(u_om)))
         rows += phi_p(u_om, p) * self.k_out
         return 2.0 * p * self.h2n * rows
 
-    def weak_apply_omega(self, u_om: NDArray, threads: int = 1) -> NDArray:
-        """Weak-form operator values: grad/p, pairing tested functions."""
-        return self.grad_omega(u_om, threads) / self.params.p
-
-    def monotone_pairing(self, u_om: NDArray, v_om: NDArray, threads: int = 1) -> float:
+    def monotone_pairing(self, u_om: NDArray, v_om: NDArray) -> float:
         """Double sum of (phi(U)-phi(V)) (U-V) over active pairs.
 
         Every addend is nonnegative, so the reduction is cancellation-free.
@@ -284,11 +269,11 @@ class EnergyKernel:
             dv = v_om[lo:hi, None] - v_om[None, :]
             return float(np.sum(self.K_oo[lo:hi] * (phi_p(du, p) - phi_p(dv, p)) * (du - dv)))
 
-        inner = ordered_sum(map_blocks(block, len(u_om), threads))
+        inner = ordered_sum(map_blocks(block, len(u_om)))
         outer = float(np.sum(self.k_out * (phi_p(u_om, p) - phi_p(v_om, p)) * (u_om - v_om)))
         return self.h2n * (inner + 2.0 * outer)
 
-    def grad_envelope(self, u_om: NDArray, threads: int = 1) -> float:
+    def grad_envelope(self, u_om: NDArray) -> float:
         """l2 norm of the absolute-value weak-gradient assembly.
 
         Multiplied by machine epsilon this bounds the roundoff floor of a
@@ -301,11 +286,11 @@ class EnergyKernel:
             diff = u_om[lo:hi, None] - u_om[None, :]
             return np.sum(self.K_oo[lo:hi] * np.abs(diff) ** (p - 1.0), axis=1)
 
-        rows = np.concatenate(map_blocks(block, len(u_om), threads))
+        rows = np.concatenate(map_blocks(block, len(u_om)))
         rows += np.abs(u_om) ** (p - 1.0) * self.k_out
         return float(np.linalg.norm(2.0 * self.h2n * rows))
 
-    def residual_floor(self, u_om: NDArray, threads: int = 1) -> float:
+    def residual_floor(self, u_om: NDArray) -> float:
         """Achievable floor of the weak-residual norm at u.
 
         Two float effects bound any solver.  Accumulated roundoff scales
@@ -325,13 +310,13 @@ class EnergyKernel:
             jump = (z + delta) ** (p - 1.0) - z ** (p - 1.0)
             return np.sum(self.K_oo[lo:hi] * jump, axis=1)
 
-        rows = np.concatenate(map_blocks(block, len(u_om), threads))
+        rows = np.concatenate(map_blocks(block, len(u_om)))
         zi = np.abs(u_om)
         rows += ((zi + delta) ** (p - 1.0) - zi ** (p - 1.0)) * self.k_out
         granularity = float(np.linalg.norm(2.0 * self.h2n * rows))
-        return max(granularity, eps * self.grad_envelope(u_om, threads))
+        return max(granularity, eps * self.grad_envelope(u_om))
 
-    def psmall_pairwise_gap(self, u_om: NDArray, v_om: NDArray, threads: int = 1):
+    def psmall_pairwise_gap(self, u_om: NDArray, v_om: NDArray):
         """Worst gap of the 1<p<2 pairwise monotonicity inequality.
 
         For each active pair with differences U, V not both zero the
@@ -364,7 +349,7 @@ class EnergyKernel:
             off = ~np.eye(len(u_om), dtype=bool)[lo:hi]
             return gap(du[off], dv[off])
 
-        parts = map_blocks(block, len(u_om), threads)
+        parts = map_blocks(block, len(u_om))
         parts.append(gap(u_om, v_om))  # Omega-to-exterior pairs (V side is 0 there)
         worst = max(p[0] for p in parts)
         scale = max(p[1] for p in parts)
@@ -392,12 +377,12 @@ def _kernel_of(u: GridFunction, params: FracParams) -> EnergyKernel:
 # public operations
 
 
-def gagliardo_energy(u: GridFunction, params: FracParams, threads: int = 1) -> float:
+def gagliardo_energy(u: GridFunction, params: FracParams) -> float:
     """Truncated Gagliardo energy: the p-th power of the seminorm.
 
     Sum over ordered cell pairs of |u_i - u_j|^p |x_i - x_j|^(-(N+sp)) h^(2N).
     """
-    return _kernel_of(u, params).energy(u.omega_values, threads)
+    return _kernel_of(u, params).energy(u.omega_values)
 
 
 def lp_norm(u: GridFunction, p: float) -> float:
@@ -408,22 +393,22 @@ def lp_norm(u: GridFunction, p: float) -> float:
     return float(np.sum(np.abs(u.omega_values) ** p) * hn) ** (1.0 / p)
 
 
-def rayleigh_quotient(u: GridFunction, params: FracParams, threads: int = 1) -> float:
+def rayleigh_quotient(u: GridFunction, params: FracParams) -> float:
     """Energy divided by ||u||_p^p; undefined for the zero function."""
     denom = lp_norm(u, params.p) ** params.p
     if denom == 0.0:
         raise ValueError("Rayleigh quotient of the zero function is undefined")
-    return gagliardo_energy(u, params, threads) / denom
+    return gagliardo_energy(u, params) / denom
 
 
-def apply_operator(u: GridFunction, params: FracParams, threads: int = 1) -> GridFunction:
+def apply_operator(u: GridFunction, params: FracParams) -> GridFunction:
     """Gradient of the energy with respect to the free (Omega) cell values.
 
     Satisfies the Euler identity <u, A u> = p * energy(u); paired against a
     test function it returns p times the symmetric weak double sum, so the
     weak eigen-equation residual uses A u / p.  Zero outside Omega.
     """
-    g_om = _kernel_of(u, params).grad_omega(u.omega_values, threads)
+    g_om = _kernel_of(u, params).grad_omega(u.omega_values)
     return GridFunction.from_omega(u.host, g_om)
 
 

@@ -83,17 +83,19 @@ def solve_dirichlet(
     Newton direction accuracy is eps times the tie-driven condition
     number, and pair-difference granularity bounds the gradient itself).
     start overrides the default scale-matched starting point (the
-    minimizer is unique, so any start reaches it).
+    minimizer is unique, so any start reaches it).  cfg.max_iter_inner
+    bounds the objective evaluations of all inner restarts together;
+    ConvergenceError (carrying the last iterate) is raised once they are
+    spent or a run cannot move the iterate.
     """
     dom, params = prob.host, prob.params
     kern = energy_kernel(dom, params)
-    threads = cfg.resolved_threads()
     p, hn = params.p, kern.hn
     b = prob.effective_datum() * hn
 
     def value_grad(w: NDArray):
-        val = kern.energy(w, threads) / p - float(np.dot(b, w))
-        grad = kern.grad_omega(w, threads) / p - b
+        val = kern.energy(w) / p - float(np.dot(b, w))
+        grad = kern.grad_omega(w) / p - b
         return val, grad
 
     gtol = cfg.inner_tol * max(float(np.linalg.norm(b)), 1e-300)
@@ -102,28 +104,37 @@ def solve_dirichlet(
             raise ValueError("start function lives on a different host")
         x0 = start.omega_values
     else:
-        x0 = kern.scaled_start(b, threads)
-    res = minimize_convex(
-        value_grad, kern.hessian_omega, kern.quad_matrix,
-        x0, gtol, cfg.max_iter_inner,
-    )
-    w = GridFunction.from_omega(dom, res.x)
-    if not res.converged:
+        x0 = kern.scaled_start(b)
+    x, spent = x0, 0
+    while True:
+        res = minimize_convex(
+            value_grad, kern.hessian_omega, kern.quad_matrix,
+            x, gtol, cfg.max_iter_inner - spent,
+        )
+        spent += res.evaluations
+        if res.converged:
+            break
         # a stalled gradient at the float floor (assembly roundoff,
         # pair-difference granularity, or the relative polishing limit of
         # the damped-Newton endgame) is not missing optimality
         floor = max(
-            4.0 * kern.residual_floor(res.x, threads),
+            4.0 * kern.residual_floor(res.x),
             _REL_POLISH_FLOOR * float(np.linalg.norm(b)),
         )
         if res.grad_norm <= max(gtol, floor):
-            return w
-        raise ConvergenceError(
-            f"Dirichlet solve stalled at gradient norm {res.grad_norm:.3e} "
-            f"after {res.evaluations} evaluations",
-            partial=w,
-        )
-    return w
+            break
+        # above the floor, a float-flat objective rejects every damped
+        # trial until the damping saturates, so restart with fresh damping
+        # from the latest iterate; a run that left its start unchanged
+        # would repeat itself exactly
+        if spent >= cfg.max_iter_inner or np.array_equal(res.x, x):
+            raise ConvergenceError(
+                f"Dirichlet solve stalled at gradient norm {res.grad_norm:.3e} "
+                f"after {spent} evaluations",
+                partial=GridFunction.from_omega(dom, res.x),
+            )
+        x = res.x
+    return GridFunction.from_omega(dom, res.x)
 
 
 @dataclass
@@ -154,7 +165,7 @@ def comparison_check(
 
 
 def monotonicity_certificate(
-    u: GridFunction, v: GridFunction, params: FracParams, threads: int = 1
+    u: GridFunction, v: GridFunction, params: FracParams
 ) -> tuple[float, float]:
     """Monotone-operator pairing and its lower bound.
 
@@ -166,27 +177,27 @@ def monotonicity_certificate(
     if u.host is not v.host:
         raise ValueError("grid functions live on different hosts")
     kern = energy_kernel(u.host, params)
-    pairing = kern.monotone_pairing(u.omega_values, v.omega_values, threads)
+    pairing = kern.monotone_pairing(u.omega_values, v.omega_values)
     p = params.p
     if p >= 2.0:
-        bound = 2.0 ** (2.0 - p) * kern.energy(u.omega_values - v.omega_values, threads)
+        bound = 2.0 ** (2.0 - p) * kern.energy(u.omega_values - v.omega_values)
         if pairing < bound * (1.0 - 1e-12) - 1e-300:
             raise ArithmeticError("monotonicity bound violated beyond float noise")
         return pairing, bound
     bound = 0.0
     if pairing < -1e-12 * max(abs(pairing), 1.0):
         raise ArithmeticError("operator pairing went negative")
-    worst, scale = kern.psmall_pairwise_gap(u.omega_values, v.omega_values, threads)
+    worst, scale = kern.psmall_pairwise_gap(u.omega_values, v.omega_values)
     if worst > 1e-12 * max(scale, 1e-300):
         raise ArithmeticError("pairwise monotonicity inequality violated")
     return pairing, bound
 
 
 def psmall_pairwise_gap(
-    u: GridFunction, v: GridFunction, params: FracParams, threads: int = 1
+    u: GridFunction, v: GridFunction, params: FracParams
 ) -> tuple[float, float]:
     """Worst (lhs - rhs, scale) of the 1<p<2 pairwise inequality over active pairs."""
     if u.host is not v.host:
         raise ValueError("grid functions live on different hosts")
     kern = energy_kernel(u.host, params)
-    return kern.psmall_pairwise_gap(u.omega_values, v.omega_values, threads)
+    return kern.psmall_pairwise_gap(u.omega_values, v.omega_values)

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,6 +34,8 @@ __all__ = [
 # slack applied to geometric comparisons so exact lattice ties classify
 # deterministically instead of falling to rounding noise
 _GEOM_RTOL = 1e-12
+# distances per chunk when streaming Omega-to-ball distance tables
+_CHUNK_ENTRIES = 1 << 22
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -327,13 +329,6 @@ class GridDomain:
         return self.cells[self.omega_mask]
 
     @cached_property
-    def dist_omega_omega(self) -> NDArray:
-        """Pairwise distances between Omega cell centers (zero diagonal)."""
-        x = self.omega_cells
-        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        return np.sqrt(d2)
-
-    @cached_property
     def dist_all_all(self) -> NDArray:
         """Full pairwise distance matrix; only materialized for pair ops."""
         x = self.cells
@@ -345,6 +340,17 @@ class GridDomain:
         x = self.omega_cells
         y = self.cells[idx]
         return np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1))
+
+    def dist_omega_chunks(self, idx: NDArray) -> Iterator[tuple[slice, NDArray]]:
+        """Yield (sl, dist_omega_to(idx[sl])) over consecutive column chunks.
+
+        Each chunk holds about _CHUNK_ENTRIES distances, so Omega-by-ball
+        distance tables stream through bounded memory on the largest grids.
+        """
+        cols = max(1, _CHUNK_ENTRIES // max(self.n_omega, 1))
+        for lo in range(0, len(idx), cols):
+            sl = slice(lo, lo + cols)
+            yield sl, self.dist_omega_to(idx[sl])
 
     def embed_lattice(self, values: NDArray) -> NDArray:
         """Scatter per-cell values into the full bounding-lattice array."""
@@ -486,15 +492,11 @@ def poincare_constant(dom: GridDomain, params) -> float:
     if len(others) == 0:
         raise ValueError("Omega fills the ball; no candidate center exists")
 
-    # chunk the candidate columns: the full Omega-by-exterior distance
-    # matrix does not fit comfortably at the largest 2D grids
     dmin = np.empty(len(others))
     dmax = np.empty(len(others))
-    cols = max(1, (1 << 22) // max(dom.n_omega, 1))
-    for lo in range(0, len(others), cols):
-        d = dom.dist_omega_to(others[lo : lo + cols])
-        dmin[lo : lo + cols] = d.min(axis=0)
-        dmax[lo : lo + cols] = d.max(axis=0)
+    for sl, d in dom.dist_omega_chunks(others):
+        dmin[sl] = d.min(axis=0)
+        dmax[sl] = d.max(axis=0)
     room = half - np.linalg.norm(dom.cells[others] - dom.center, axis=1)
     # largest admissible integer radius per center: stay out of Omega and
     # inside the truncation ball (ties admitted through a relative slack)

@@ -73,10 +73,10 @@ class Eigenpair:
                 raise ValueError("trace of Rayleigh values is not nonincreasing")
 
 
-def _residual(kern: EnergyKernel, u_om: NDArray, lam: float, threads: int) -> float:
+def _residual(kern: EnergyKernel, u_om: NDArray, lam: float) -> float:
     p = kern.params.p
     target = lam * phi_p(u_om, p) * kern.hn
-    r = kern.grad_omega(u_om, threads) / p - target
+    r = kern.grad_omega(u_om) / p - target
     scale = float(np.linalg.norm(target))
     return float(np.linalg.norm(r)) / max(scale, 1e-300)
 
@@ -96,7 +96,6 @@ def first_eigenpair(
     if dom.n_omega == 0:
         raise ValueError("domain has no Omega cell")
     kern = energy_kernel(dom, params)
-    threads = cfg.resolved_threads()
     p, hn = params.p, kern.hn
 
     if start is None:
@@ -110,8 +109,8 @@ def first_eigenpair(
         raise ValueError("start function is identically zero")
     u_om = u.omega_values / nrm
 
-    lam = kern.energy(u_om, threads)
-    res = _residual(kern, u_om, lam, threads)
+    lam = kern.energy(u_om)
+    res = _residual(kern, u_om, lam)
     trace: list[tuple[float, float]] = [(lam, res)]
     converged = False
     n = 0
@@ -124,13 +123,13 @@ def first_eigenpair(
         gtol = gtol_rel * max(float(np.linalg.norm(b)), 1e-300)
 
         def value_grad(w: NDArray):
-            val = kern.energy(w, threads) / p - float(np.dot(b, w))
-            grad = kern.grad_omega(w, threads) / p - b
+            val = kern.energy(w) / p - float(np.dot(b, w))
+            grad = kern.grad_omega(w) / p - b
             return val, grad
 
         # the indicator start carries exact pair ties; the quadratic-form
         # solve gives a smooth first inner iterate instead
-        x0 = kern.scaled_start(b, threads) if n == 1 else u_om
+        x0 = kern.scaled_start(b) if n == 1 else u_om
         lam_new = lam
         u_new = u_om
         for attempt in range(3):
@@ -143,7 +142,7 @@ def first_eigenpair(
             if nrm == 0.0:
                 raise ConvergenceError("inner solve collapsed to zero", partial=None)
             u_new = w / nrm
-            lam_new = kern.energy(u_new, threads)
+            lam_new = kern.energy(u_new)
             if lam_new <= lam * (1.0 + 1e-12):
                 break
             gtol *= 1e-2  # inner solve too loose to certify a decrease
@@ -154,7 +153,7 @@ def first_eigenpair(
             break
 
         stagnated = np.array_equal(u_new, u_om)
-        res = _residual(kern, u_new, lam_new, threads)
+        res = _residual(kern, u_new, lam_new)
         delta = abs(lam_new - lam)
         trace.append((lam_new, res))
         u_om, lam = u_new, lam_new
@@ -225,7 +224,7 @@ def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
     u = u / lp_norm(u, 2.0)
     kern = energy_kernel(dom, params)
     lam = kern.energy(u.omega_values)
-    res = _residual(kern, u.omega_values, lam, threads=1)
+    res = _residual(kern, u.omega_values, lam)
     return Eigenpair(
         lam=lam,
         eigenfunction=u,
@@ -237,7 +236,7 @@ def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
 
 
 def clarkson_gap(
-    u: GridFunction, v: GridFunction, params: FracParams, threads: int = 1
+    u: GridFunction, v: GridFunction, params: FracParams
 ) -> tuple[float, float]:
     """Both sides of the Clarkson inequality built from the energy.
 
@@ -248,10 +247,10 @@ def clarkson_gap(
     if u.host is not v.host:
         raise ValueError("grid functions live on different hosts")
     p = params.p
-    e_diff = gagliardo_energy((u - v) / 2.0, params, threads)
-    e_mid = gagliardo_energy((u + v) / 2.0, params, threads)
-    e_u = gagliardo_energy(u, params, threads)
-    e_v = gagliardo_energy(v, params, threads)
+    e_diff = gagliardo_energy((u - v) / 2.0, params)
+    e_mid = gagliardo_energy((u + v) / 2.0, params)
+    e_u = gagliardo_energy(u, params)
+    e_v = gagliardo_energy(v, params)
     if p >= 2.0:
         lhs = e_diff + e_mid
         rhs = 0.5 * e_u + 0.5 * e_v
@@ -265,9 +264,9 @@ def clarkson_gap(
 
 
 def seminorm_distance(
-    u: GridFunction, v: GridFunction, params: FracParams, threads: int = 1
+    u: GridFunction, v: GridFunction, params: FracParams
 ) -> float:
     """Truncated seminorm of u - v, i.e. energy(u - v)^(1/p)."""
     if u.host is not v.host:
         raise ValueError("grid functions live on different hosts")
-    return gagliardo_energy(u - v, params, threads) ** (1.0 / params.p)
+    return gagliardo_energy(u - v, params) ** (1.0 / params.p)

@@ -49,8 +49,9 @@ class SolverConfig:
     tol is the relative stopping tolerance on both the eigenvalue change
     and the weak residual; inner_tol controls the convex inner solves.
     seed feeds every randomized property check; threads sets the worker
-    count of the deterministic pair reductions (the environment variable
-    FRACEIG_THREADS, when set, wins over this field).
+    count of s_sweep (one eigensolve per s) and of the far-field
+    quadrature of the equivalence suite, and never changes a result (the
+    environment variable FRACEIG_THREADS, when set, wins over this field).
     """
 
     tol: float = 1e-8

@@ -41,6 +41,11 @@ def interval64():
 
 
 @pytest.fixture(scope="session")
+def interval256():
+    return build_domain(interval_spec(1 / 256), t=4.0)
+
+
+@pytest.fixture(scope="session")
 def union16():
     return build_domain(union_spec(1 / 16), t=4.0)
 

@@ -112,11 +112,22 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # header + 7 rows
 
-    def test_injected_corruption_exits_4(self, domain_file, tmp_path, capsys):
+    def test_injected_corruption_exits_4(self, domain_file, tmp_path, capsys, monkeypatch):
+        import fraceig.cli
+
+        real_sweep = fraceig.cli.s_sweep
+
+        def corrupted_sweep(dom, p, *args):
+            report = real_sweep(dom, p, *args)
+            row = report.rows[2]
+            row.lam = 0.001
+            row.weighted_lam = (2.5 * dom.diameter_R) ** (row.s * p) * row.lam
+            return report
+
+        monkeypatch.setattr(fraceig.cli, "s_sweep", corrupted_sweep)
         out = tmp_path / "sweep"
         code = run(["sweep", "--domain", domain_file, "--p", 2,
-                    "--s-list", "0.3,0.4,0.5", "--s-base", 0.3, "--out", out,
-                    "--inject-lambda", "2:0.001"])
+                    "--s-list", "0.3,0.4,0.5", "--s-base", 0.3, "--out", out])
         assert code == 4
         assert "violated" in capsys.readouterr().err
 
@@ -193,11 +204,12 @@ class TestDeterminism:
     def test_thread_count_does_not_change_output(self, domain_file, tmp_path):
         outputs = []
         for threads in (1, 2, 8):
-            out = tmp_path / f"pair{threads}.json"
-            code = run(["eig", "--domain", domain_file, "--s", 0.5, "--p", 2,
+            out = tmp_path / f"sweep{threads}"
+            code = run(["sweep", "--domain", domain_file, "--p", 1.5,
+                        "--s-list", "0.3,0.4,0.5", "--s-base", 0.3,
                         "--threads", threads, "--out", out])
             assert code == 0
-            outputs.append(out.read_text())
+            outputs.append(out.with_suffix(".json").read_text())
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_env_threads_overrides_flag(self, monkeypatch):

@@ -69,12 +69,6 @@ class TestGagliardoEnergy:
             oracle = energy_double_sum(interval8.cells, u.values, interval8.h, 1, s, p)
             assert gagliardo_energy(u, params) == pytest.approx(oracle, rel=1e-12)
 
-    def test_threads_bitwise_identical(self, interval16):
-        rng = np.random.default_rng(3)
-        u = random_function(interval16, rng)
-        vals = {gagliardo_energy(u, PARAMS, threads=k) for k in (1, 2, 5)}
-        assert len(vals) == 1
-
     def test_kernel_s_monotonicity(self, interval16):
         # every active pair distance is below 5R/2, so the energies at two
         # orders compare pointwise through that weight

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceig import (
+    ConvergenceError,
     DirichletProblem,
     FracParams,
     GridFunction,
     PairFunction,
+    SolverConfig,
     comparison_check,
+    first_eigenpair,
     gagliardo_energy,
     monotonicity_certificate,
     nonlocal_gradient,
@@ -112,6 +115,43 @@ class TestSolveDirichlet:
         w_raw = solve_dirichlet(DirichletProblem(interval8, P2, f, F=PairFunction(raw, interval8)))
         w_anti = solve_dirichlet(DirichletProblem(interval8, P2, f, F=PairFunction(anti, interval8)))
         np.testing.assert_allclose(w_raw.values, w_anti.values, rtol=1e-9, atol=1e-12)
+
+    def test_float_flat_stall_restarts(self, interval256):
+        # datum f2 of ordered pair 7 of `verify --suite comparison --seed 42`
+        # at s=0.75, p=1.5: the damped-Newton objective goes float-flat with
+        # the gradient still above the polishing floor
+        rng = np.random.default_rng(42)
+        for _ in range(8):
+            f1 = rng.standard_normal(interval256.n_omega)
+            f2 = f1 + np.abs(rng.standard_normal(interval256.n_omega))
+        params = FracParams(s=0.75, p=1.5)
+        w = solve_dirichlet(DirichletProblem(interval256, params, f2))
+        kern = energy_kernel(interval256, params)
+        b = f2 * kern.hn
+        g = kern.grad_omega(w.omega_values) / params.p - b
+        assert np.linalg.norm(g) <= 1e-7 * np.linalg.norm(b)
+
+    def test_spent_budget_raises_with_partial(self, interval16):
+        rng = np.random.default_rng(39)
+        f = rng.standard_normal(interval16.n_omega)
+        cfg = SolverConfig(max_iter_inner=3)
+        with pytest.raises(ConvergenceError, match="after 3 evaluations") as exc_info:
+            solve_dirichlet(DirichletProblem(interval16, P15, f), cfg)
+        assert exc_info.value.partial.host is interval16
+
+    def test_energy_reductions_start_no_pool(self, interval256, monkeypatch):
+        # more free cells than one reduction block, so a pooled reduction
+        # would have several blocks to hand out
+        import fraceig._reduce
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an energy reduction started a thread pool")
+
+        monkeypatch.setattr(fraceig._reduce, "ThreadPoolExecutor", no_pool)
+        cfg = SolverConfig(threads=2)
+        first_eigenpair(interval256, P15, cfg)
+        f = np.random.default_rng(38).standard_normal(interval256.n_omega)
+        solve_dirichlet(DirichletProblem(interval256, P15, f), cfg)
 
     def test_rejects_bad_data(self, interval16):
         with pytest.raises(ValueError, match="one value per Omega cell"):
