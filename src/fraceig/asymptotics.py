@@ -267,9 +267,7 @@ def equivalence_check(
         raise ValueError("Omega leaks outside the inner ball; h is too coarse")
     far_idx = np.flatnonzero(far)
     v_total = kern.energy(u_om)
-    y_part = 0.0
-    for _, d in dom.dist_omega_chunks(far_idx):
-        y_part += 2.0 * hn * hn * float(np.sum(up[:, None] * d ** (-kern.exponent)))
+    y_part = 2.0 * hn * hn * float(up @ dom.pair_power_sums(dom.omega_indices, far_idx, -kern.exponent))
     x_part = v_total - y_part
 
     # far-field quadrature on the extended lattice plus analytic tail
@@ -394,9 +392,7 @@ def holder_report(u: GridFunction, params: FracParams) -> tuple[float, float]:
     gamma = params.s - n / params.p
     u_om = u.omega_values
     sup_q = 0.0
-    for sl, d in dom.dist_omega_chunks(np.arange(dom.n_cells)):
+    for sl, w in dom.pair_powers(dom.omega_indices, np.arange(dom.n_cells), -gamma):
         dv = np.abs(u_om[:, None] - u.values[sl][None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(d > 0, dv / d**gamma, 0.0)
-        sup_q = max(sup_q, float(q.max()))
+        sup_q = max(sup_q, float((dv * w).max()))
     return gamma, sup_q

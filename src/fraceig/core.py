@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._reduce import map_blocks, ordered_sum
-from .domain import GridDomain
+from .domain import GridDomain, check_dense_pairs
 from .params import FracParams
 
 __all__ = [
@@ -112,8 +112,9 @@ class PairFunction:
     host: GridDomain
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
         m = self.host.n_cells
+        check_dense_pairs(m, m)
+        v = np.asarray(self.values, dtype=float)
         if v.shape != (m, m):
             raise ValueError(f"expected a ({m}, {m}) pair array, got {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -159,12 +160,9 @@ class EnergyKernel:
         self.hn = dom.h**dom.dim
         self.h2n = self.hn * self.hn
 
-        d = dom.dist_omega_to(dom.omega_indices)
-        with np.errstate(divide="ignore"):
-            k = d ** (-self.exponent)
-        np.fill_diagonal(k, 0.0)
-        self.K_oo = k
-        self.k_out = self._exterior_row_sums()
+        om = dom.omega_indices
+        self.K_oo = dom.pair_power(om, om, -self.exponent)
+        self.k_out = dom.pair_power_sums(om, dom.other_indices, -self.exponent)
 
     @property
     def quad_matrix(self) -> NDArray:
@@ -225,12 +223,6 @@ class EnergyKernel:
         h = -wgt
         h[np.diag_indices_from(h)] = np.sum(wgt, axis=1) + ext
         return 2.0 * (p - 1.0) * self.h2n * h
-
-    def _exterior_row_sums(self) -> NDArray:
-        out = np.zeros(self.dom.n_omega)
-        for _, d in self.dom.dist_omega_chunks(self.dom.other_indices):
-            out += np.sum(d ** (-self.exponent), axis=1)
-        return out
 
     # -- scalar reductions ------------------------------------------------
 
@@ -417,11 +409,8 @@ def nonlocal_gradient(u: GridFunction, params: FracParams) -> PairFunction:
     dom = u.host
     if dom.t != params.t:
         raise ValueError("domain truncation does not match params.t")
-    expo = dom.dim / params.p + params.s
-    d = dom.dist_all_all
-    with np.errstate(divide="ignore"):
-        w = d**-expo
-    np.fill_diagonal(w, 0.0)
+    cells = np.arange(dom.n_cells)
+    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s))
     vals = (u.values[:, None] - u.values[None, :]) * w
     return PairFunction(vals, dom)
 
@@ -434,10 +423,7 @@ def nonlocal_divergence(phi: PairFunction, params: FracParams) -> NDArray:
     dom = phi.host
     if dom.t != params.t:
         raise ValueError("domain truncation does not match params.t")
-    expo = dom.dim / params.p + params.s
-    d = dom.dist_all_all
-    with np.errstate(divide="ignore"):
-        w = d**-expo
-    np.fill_diagonal(w, 0.0)
+    cells = np.arange(dom.n_cells)
+    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s))
     hn = dom.h**dom.dim
     return np.sum((phi.values - phi.values.T) * w, axis=1) * hn

@@ -13,6 +13,7 @@ center satisfies the shape predicate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ __all__ = [
     "DomainSpec",
     "GridDomain",
     "build_domain",
+    "check_dense_pairs",
     "dilate",
     "poincare_constant",
     "unit_ball_volume",
@@ -34,8 +36,22 @@ __all__ = [
 # slack applied to geometric comparisons so exact lattice ties classify
 # deterministically instead of falling to rounding noise
 _GEOM_RTOL = 1e-12
-# distances per chunk when streaming Omega-to-ball distance tables
+# entries per column chunk when streaming pair-weight tables
 _CHUNK_ENTRIES = 1 << 22
+# bytes one dense float64 pair array may take; larger pair operations are
+# refused before anything of that size is allocated
+_DENSE_PAIR_BYTES = 1 << 29
+
+
+def check_dense_pairs(rows: int, cols: int) -> None:
+    """Raise ValueError when a rows x cols float64 array exceeds the budget."""
+    need = 8 * rows * cols
+    if need > _DENSE_PAIR_BYTES:
+        raise ValueError(
+            f"a dense {rows} x {cols} pair array needs {need / 2**20:.0f} MiB, "
+            f"over the {_DENSE_PAIR_BYTES >> 20} MiB limit of dense pair storage; "
+            "use a coarser grid"
+        )
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -329,28 +345,67 @@ class GridDomain:
         return self.cells[self.omega_mask]
 
     @cached_property
-    def dist_all_all(self) -> NDArray:
-        """Full pairwise distance matrix; only materialized for pair ops."""
-        x = self.cells
-        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        return np.sqrt(d2)
+    def coords(self) -> NDArray:
+        """(M, dim) integer lattice coordinates: cells = origin + h * coords."""
+        return np.stack(np.unravel_index(self.lattice_index, self.counts), axis=1)
 
-    def dist_omega_to(self, idx: NDArray) -> NDArray:
-        """Distances from Omega cells to the cells listed in idx."""
-        x = self.omega_cells
-        y = self.cells[idx]
-        return np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1))
+    @cached_property
+    def _offset_key(self) -> NDArray:
+        """Flat index of each cell's offset coords[i] in the offset table;
+        the index is linear, so offset coords[i] - coords[j] sits at
+        key[i] - key[j] + the index of the zero offset."""
+        counts = np.asarray(self.counts)
+        return np.ravel_multi_index((self.coords + counts - 1).T, tuple(2 * counts - 1))
 
-    def dist_omega_chunks(self, idx: NDArray) -> Iterator[tuple[slice, NDArray]]:
-        """Yield (sl, dist_omega_to(idx[sl])) over consecutive column chunks.
+    def _offset_table(self, a: float) -> tuple[NDArray, int]:
+        """T[k] = (h |k|)^a over the integer offsets k of the bounding
+        lattice, flattened, with T = 0 at the zero offset; and that index."""
+        r2 = functools.reduce(np.add.outer, [np.arange(1 - c, c, dtype=float) ** 2 for c in self.counts])
+        with np.errstate(divide="ignore"):
+            table = (self.h * np.sqrt(r2.ravel())) ** a
+        zero = len(table) // 2
+        table[zero] = 0.0
+        return table, zero
 
-        Each chunk holds about _CHUNK_ENTRIES distances, so Omega-by-ball
-        distance tables stream through bounded memory on the largest grids.
+    def pair_powers(self, rows: NDArray, cols: NDArray, a: float) -> Iterator[tuple[slice, NDArray]]:
+        """Yield (sl, |x_i - x_j|^a for i in rows, j in cols[sl]), 0 where i == j.
+
+        Every center sits on the lattice origin + h k, so each value is an
+        entry of the offset table, gathered by key difference.  Each column
+        chunk holds about _CHUNK_ENTRIES values, so Omega-by-ball tables
+        stream through bounded memory on the largest grids.
         """
-        cols = max(1, _CHUNK_ENTRIES // max(self.n_omega, 1))
-        for lo in range(0, len(idx), cols):
-            sl = slice(lo, lo + cols)
-            yield sl, self.dist_omega_to(idx[sl])
+        table, zero = self._offset_table(a)
+        key = self._offset_key
+        row_key = key[rows][:, None] + zero
+        step = max(1, _CHUNK_ENTRIES // max(len(rows), 1))
+        for lo in range(0, len(cols), step):
+            sl = slice(lo, lo + step)
+            yield sl, table[row_key - key[cols[sl]]]
+
+    def pair_power_sums(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
+        """Sum over the distinct cells j in cols of |x_i - x_j|^a, for i in rows.
+
+        Row i reads one contiguous window of the offset table, and the
+        cells of cols pick the same positions within every row's window.
+        """
+        table, zero = self._offset_table(a)
+        col_key = self._offset_key[cols]
+        if len(col_key) == 0:
+            return np.zeros(len(rows))
+        hi = col_key.max()
+        picked = np.zeros(hi - col_key.min() + 1, dtype=bool)
+        picked[hi - col_key] = True
+        starts = self._offset_key[rows] + zero - hi
+        return np.array([table[lo : lo + len(picked)][picked].sum() for lo in starts])
+
+    def pair_power(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
+        """The whole rows x cols table of pair_powers, within the dense budget."""
+        check_dense_pairs(len(rows), len(cols))
+        out = np.empty((len(rows), len(cols)))
+        for sl, block in self.pair_powers(rows, cols, a):
+            out[:, sl] = block
+        return out
 
     def embed_lattice(self, values: NDArray) -> NDArray:
         """Scatter per-cell values into the full bounding-lattice array."""
@@ -360,6 +415,9 @@ class GridDomain:
 
     def validate(self) -> None:
         """Check the geometric invariants; raises ValueError on failure."""
+        drift = np.abs(self.cells - (self.origin + self.h * self.coords)).max()
+        if drift > 1e-6 * self.h + 1e-12 * float(np.abs(self.cells).max()):
+            raise ValueError("cell centers drift off the lattice origin + h * coords")
         flagged = self.cells[self.omega_mask]
         if len(flagged) == 0:
             raise ValueError("no cell is flagged inside Omega")
@@ -494,7 +552,7 @@ def poincare_constant(dom: GridDomain, params) -> float:
 
     dmin = np.empty(len(others))
     dmax = np.empty(len(others))
-    for sl, d in dom.dist_omega_chunks(others):
+    for sl, d in dom.pair_powers(dom.omega_indices, others, 1.0):
         dmin[sl] = d.min(axis=0)
         dmax[sl] = d.max(axis=0)
     room = half - np.linalg.norm(dom.cells[others] - dom.center, axis=1)

@@ -191,16 +191,6 @@ def first_eigenpair(
     return pair
 
 
-def oracle_matrix(dom: GridDomain, params: FracParams) -> NDArray:
-    """Symmetric free-cell matrix A with u^T A u = energy(u) / h^N."""
-    kern = energy_kernel(dom, params)
-    k = kern.K_oo
-    diag = np.sum(k, axis=1) + kern.k_out
-    a = -k.copy()
-    a[np.diag_indices_from(a)] = diag
-    return 2.0 * kern.hn * a
-
-
 def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
     """Dense symmetric eigensolve for p = 2, the cross-check route.
 
@@ -215,14 +205,13 @@ def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
         raise ValueError(
             f"{n_free} free cells exceed the dense-oracle limit {_ORACLE_MAX_FREE}"
         )
-    a = oracle_matrix(dom, params)
-    vals, vecs = scipy.linalg.eigh(a, subset_by_index=[0, 0])
+    kern = energy_kernel(dom, params)
+    vals, vecs = scipy.linalg.eigh(kern.quad_matrix / kern.hn, subset_by_index=[0, 0])
     v = vecs[:, 0]
     if v.mean() < 0:
         v = -v
     u = GridFunction.from_omega(dom, v)
     u = u / lp_norm(u, 2.0)
-    kern = energy_kernel(dom, params)
     lam = kern.energy(u.omega_values)
     res = _residual(kern, u.omega_values, lam)
     return Eigenpair(

@@ -28,7 +28,7 @@ from .core import (
     nonlocal_gradient,
 )
 from .dirichlet import comparison_check, monotonicity_certificate, psmall_pairwise_gap
-from .domain import GridDomain, poincare_constant
+from .domain import GridDomain, check_dense_pairs, poincare_constant
 from .eigen import clarkson_gap, first_eigenpair
 from .params import FracParams, SolverConfig
 
@@ -109,6 +109,7 @@ def _suite_clarkson(dom, params, cfg, rng):
 
 
 def _suite_adjoint(dom, params, cfg, rng):
+    check_dense_pairs(dom.n_cells, dom.n_cells)
     h2n = dom.h ** (2 * dom.dim)
     hn = dom.h**dom.dim
     worst = 0.0

@@ -51,28 +51,51 @@ def operator_double_sum(cells, values, omega_mask, h, dim, s, p):
     return g
 
 
-def pair_gradient(cells, values, dim, s, p):
+def pair_gradient(cells, values, dim, s, p, rows=None):
+    """(u_i - u_j)/|x_i - x_j|^(N/p+s) for i in rows (default: every cell)."""
     expo = dim / p + s
     m = len(cells)
-    out = np.zeros((m, m))
-    for i in range(m):
+    rows = range(m) if rows is None else rows
+    out = np.zeros((len(rows), m))
+    for r, i in enumerate(rows):
         for j in range(m):
             if i != j:
-                out[i, j] = (values[i] - values[j]) / math.dist(cells[i], cells[j]) ** expo
+                out[r, j] = (values[i] - values[j]) / math.dist(cells[i], cells[j]) ** expo
     return out
 
 
-def pair_divergence(cells, phi, h, dim, s, p):
+def pair_divergence(cells, phi, h, dim, s, p, rows=None):
+    """Adjoint field d_i for i in rows (default: every cell)."""
     expo = dim / p + s
     m = len(cells)
-    out = np.zeros(m)
-    for i in range(m):
+    rows = range(m) if rows is None else rows
+    out = np.zeros(len(rows))
+    for r, i in enumerate(rows):
         acc = 0.0
         for j in range(m):
             if j != i:
                 acc += (phi[i, j] - phi[j, i]) / math.dist(cells[i], cells[j]) ** expo
-        out[i] = acc * h**dim
+        out[r] = acc * h**dim
     return out
+
+
+def kernel_tables(cells, omega_mask, dim, s, p):
+    """(K_oo, k_out): Omega-Omega weights |x_i - x_j|^-(N+sp), zero diagonal,
+    and each Omega cell's weight sum toward the exterior cells."""
+    expo = dim + s * p
+    free = [i for i, f in enumerate(omega_mask) if f]
+    k_oo = np.zeros((len(free), len(free)))
+    k_out = np.zeros(len(free))
+    for ii, i in enumerate(free):
+        jj = 0
+        for j in range(len(cells)):
+            if omega_mask[j]:
+                if j != i:
+                    k_oo[ii, jj] = math.dist(cells[i], cells[j]) ** -expo
+                jj += 1
+            else:
+                k_out[ii] += math.dist(cells[i], cells[j]) ** -expo
+    return k_oo, k_out
 
 
 def adjoint_both_sides(cells, omega_mask, values, phi, h, dim, s, p):

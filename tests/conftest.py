@@ -1,3 +1,10 @@
+import os
+
+# pin BLAS threads before anything imports numpy: the thread count moves
+# results in their last digits and oversubscribes a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from fraceig import DomainSpec, GridFunction, build_domain

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from fraceig import FracParams, build_domain, p2_oracle, poincare_constant
 from fraceig.cli import main
 from fraceig.serialize import load_domain_spec, save_domain_spec
 
-from conftest import interval_spec
+from conftest import box_spec, interval_spec
 
 
 @pytest.fixture()
@@ -74,7 +75,7 @@ class TestSolve:
     def test_p2_matches_dense(self, domain_file, tmp_path):
         import scipy.linalg
 
-        from fraceig.eigen import oracle_matrix
+        from fraceig.core import energy_kernel
 
         dom = build_domain(load_domain_spec(domain_file), t=4.0)
         rng = np.random.default_rng(70)
@@ -84,7 +85,8 @@ class TestSolve:
         out = tmp_path / "sol.json"
         assert run(["solve", "--domain", domain_file, "--problem", prob, "--out", out]) == 0
         got = np.asarray(json.loads(out.read_text())["values"])[dom.omega_mask]
-        dense = scipy.linalg.solve(oracle_matrix(dom, FracParams(s=0.5, p=2.0)), f, assume_a="pos")
+        kern = energy_kernel(dom, FracParams(s=0.5, p=2.0))
+        dense = scipy.linalg.solve(kern.quad_matrix / kern.hn, f, assume_a="pos")
         assert np.linalg.norm(got - dense) <= 1e-8 * np.linalg.norm(dense)
 
     def test_malformed_problem_exits_2(self, domain_file, tmp_path, capsys):
@@ -185,6 +187,21 @@ class TestVerify:
         code = run(["verify", "--domain", domain_file, "--s", 0.3, "--p", 2,
                     "--suite", "holder", "--out", tmp_path / "x.json"])
         assert code == 2
+
+    def test_adjoint_beyond_dense_budget_exits_2(self, tmp_path, capsys):
+        # the 2D box at h=1/32 has 25,276 ball cells: 5.1 GB per pair array
+        path = tmp_path / "box.json"
+        save_domain_spec(box_spec(1 / 32), path)
+        tracemalloc.start()
+        try:
+            code = run(["verify", "--domain", path, "--s", 0.5, "--p", 2,
+                        "--suite", "adjoint", "--out", tmp_path / "x.json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "dense pair" in capsys.readouterr().err
+        assert peak < 1 << 28
 
 
 class TestOracle:

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceig import (
+    DomainSpec,
     FracParams,
     GridFunction,
     PairFunction,
     apply_operator,
     build_domain,
+    dilate,
     gagliardo_energy,
     lp_norm,
     nonlocal_divergence,
@@ -21,12 +23,13 @@ from fraceig.core import energy_kernel, phi_p
 from _oracles import (
     adjoint_both_sides,
     energy_double_sum,
+    kernel_tables,
     lp_sum,
     operator_double_sum,
     pair_divergence,
     pair_gradient,
 )
-from conftest import interval_spec, random_function
+from conftest import box_spec, interval_spec, random_function
 
 PARAMS = FracParams(s=0.5, p=2.0)
 
@@ -35,6 +38,54 @@ PARAMS = FracParams(s=0.5, p=2.0)
 def two_cell_domain():
     # two flagged cells at unit spacing: interval (0,2) with h = 1
     return build_domain(interval_spec(1.0, a=0.0, b=2.0), t=4.0)
+
+
+@pytest.fixture(scope="module")
+def union2d():
+    # two unit squares half a unit apart, on a non-dyadic cell width
+    parts = [
+        {"type": "box", "min": [0.0, 0.0], "max": [1.0, 1.0]},
+        {"type": "box", "min": [1.5, 0.0], "max": [2.5, 1.0]},
+    ]
+    return build_domain(DomainSpec(dim=2, h=1 / 6, shape={"type": "union", "parts": parts}), t=4.0)
+
+
+def oracle_rows(dom):
+    """Every cell on small grids; on larger ones, a spread of Omega and
+    exterior rows that keeps the loop oracles fast."""
+    if dom.n_cells <= 64:
+        return np.arange(dom.n_cells)
+    return np.union1d(dom.omega_indices[::4], np.arange(0, dom.n_cells, dom.n_cells // 32))
+
+
+class TestKernelTables:
+    @pytest.mark.parametrize(
+        "name, s, p", [("interval8", 0.5, 2.0), ("interval8", 0.3, 1.5), ("box8", 0.5, 2.0), ("union2d", 0.3, 1.5)]
+    )
+    def test_matches_loop_oracle(self, name, s, p, request):
+        dom = request.getfixturevalue(name)
+        kern = energy_kernel(dom, FracParams(s=s, p=p))
+        k_oo, k_out = kernel_tables(dom.cells, dom.omega_mask, dom.dim, s, p)
+        np.testing.assert_allclose(kern.K_oo, k_oo, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kern.k_out, k_out, rtol=1e-13, atol=0)
+
+    def test_dilation_scales_tables(self, box8):
+        params = FracParams(s=0.4, p=2.5)
+        base = energy_kernel(box8, params)
+        for c in (3.0, 0.7):
+            scaled = energy_kernel(dilate(box8, c), params)
+            factor = c ** -base.exponent
+            np.testing.assert_allclose(scaled.K_oo, factor * base.K_oo, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(scaled.k_out, factor * base.k_out, rtol=1e-14, atol=0)
+
+
+def test_dense_pairs_refused_before_allocation():
+    # 25,276 ball cells: one dense pair array would take 5.1 GB
+    dom = build_domain(box_spec(1 / 32), t=4.0)
+    with pytest.raises(ValueError, match="dense pair"):
+        nonlocal_gradient(GridFunction.indicator(dom), PARAMS)
+    with pytest.raises(ValueError, match="dense pair"):
+        PairFunction(np.zeros((1, 1)), dom)
 
 
 class TestGagliardoEnergy:
@@ -206,13 +257,15 @@ class TestPairOperations:
         g = nonlocal_gradient(random_function(interval8, rng), PARAMS)
         np.testing.assert_allclose(g.values, -g.values.T, atol=1e-15)
 
-    def test_gradient_oracle(self, interval8):
+    def test_gradient_oracle(self, interval8, box8):
         rng = np.random.default_rng(15)
-        u = random_function(interval8, rng)
         params = FracParams(s=0.4, p=2.5)
-        got = nonlocal_gradient(u, params).values
-        want = pair_gradient(interval8.cells, u.values, 1, 0.4, 2.5)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+        for dom in (interval8, box8):
+            u = random_function(dom, rng)
+            rows = oracle_rows(dom)
+            got = nonlocal_gradient(u, params).values[rows]
+            want = pair_gradient(dom.cells, u.values, dom.dim, 0.4, 2.5, rows)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
     def test_power_sum_recovers_energy(self, interval8):
         rng = np.random.default_rng(16)
@@ -242,12 +295,14 @@ class TestPairOperations:
             atol=1e-12,
         )
 
-    def test_divergence_oracle(self, interval8):
+    def test_divergence_oracle(self, interval8, box8):
         rng = np.random.default_rng(19)
-        phi = PairFunction(rng.standard_normal((interval8.n_cells,) * 2), interval8)
-        got = nonlocal_divergence(phi, PARAMS)
-        want = pair_divergence(interval8.cells, phi.values, interval8.h, 1, 0.5, 2.0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        for dom in (interval8, box8):
+            phi = PairFunction(rng.standard_normal((dom.n_cells,) * 2), dom)
+            rows = oracle_rows(dom)
+            got = nonlocal_divergence(phi, PARAMS)[rows]
+            want = pair_divergence(dom.cells, phi.values, dom.h, dom.dim, 0.5, 2.0, rows)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     def test_adjoint_identity(self, interval8):
         rng = np.random.default_rng(20)

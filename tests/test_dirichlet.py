@@ -21,7 +21,6 @@ from fraceig import (
     solve_dirichlet,
 )
 from fraceig.core import energy_kernel, phi_p
-from fraceig.eigen import oracle_matrix
 
 from conftest import random_function
 
@@ -39,7 +38,8 @@ class TestSolveDirichlet:
         rng = np.random.default_rng(30)
         f = rng.standard_normal(interval64.n_omega)
         w = solve_dirichlet(DirichletProblem(interval64, P2, f))
-        dense = scipy.linalg.solve(oracle_matrix(interval64, P2), f, assume_a="pos")
+        kern = energy_kernel(interval64, P2)
+        dense = scipy.linalg.solve(kern.quad_matrix / kern.hn, f, assume_a="pos")
         assert np.linalg.norm(w.omega_values - dense) <= 1e-8 * np.linalg.norm(dense)
 
     def test_nonnegative_data_nonnegative_solution(self, interval16):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,11 @@ class TestBuildDomain:
             d_all = np.linalg.norm(dom.cells - dom.center, axis=1)
             assert d_all.max() <= dom.t * dom.diameter_R / 2 * (1 + 1e-12)
             assert 0 < dom.n_omega < dom.n_cells
+
+    def test_off_lattice_cells_rejected(self, box8):
+        moved = dataclasses.replace(box8, cells=box8.cells + [0.5 * box8.h, 0.0])
+        with pytest.raises(ValueError, match="lattice"):
+            moved.validate()
 
     def test_deterministic(self):
         a = build_domain(interval_spec(1 / 16), t=4.0)
