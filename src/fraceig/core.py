@@ -113,7 +113,7 @@ class PairFunction:
 
     def __post_init__(self) -> None:
         m = self.host.n_cells
-        check_dense_pairs(m, m)
+        check_dense_pairs(m, m, "a pair function")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (m, m):
             raise ValueError(f"expected a ({m}, {m}) pair array, got {v.shape}")
@@ -161,7 +161,7 @@ class EnergyKernel:
         self.h2n = self.hn * self.hn
 
         om = dom.omega_indices
-        self.K_oo = dom.pair_power(om, om, -self.exponent)
+        self.K_oo = dom.pair_power(om, om, -self.exponent, "the energy kernel's Omega x Omega table")
         self.k_out = dom.pair_power_sums(om, dom.other_indices, -self.exponent)
 
     @property
@@ -410,7 +410,7 @@ def nonlocal_gradient(u: GridFunction, params: FracParams) -> PairFunction:
     if dom.t != params.t:
         raise ValueError("domain truncation does not match params.t")
     cells = np.arange(dom.n_cells)
-    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s))
+    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "the nonlocal gradient")
     vals = (u.values[:, None] - u.values[None, :]) * w
     return PairFunction(vals, dom)
 
@@ -424,6 +424,6 @@ def nonlocal_divergence(phi: PairFunction, params: FracParams) -> NDArray:
     if dom.t != params.t:
         raise ValueError("domain truncation does not match params.t")
     cells = np.arange(dom.n_cells)
-    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s))
+    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "the nonlocal divergence")
     hn = dom.h**dom.dim
     return np.sum((phi.values - phi.values.T) * w, axis=1) * hn

@@ -43,12 +43,13 @@ _CHUNK_ENTRIES = 1 << 22
 _DENSE_PAIR_BYTES = 1 << 29
 
 
-def check_dense_pairs(rows: int, cols: int) -> None:
-    """Raise ValueError when a rows x cols float64 array exceeds the budget."""
+def check_dense_pairs(rows: int, cols: int, what: str) -> None:
+    """Raise ValueError when a rows x cols float64 array exceeds the budget;
+    `what` names the array in the message."""
     need = 8 * rows * cols
     if need > _DENSE_PAIR_BYTES:
         raise ValueError(
-            f"a dense {rows} x {cols} pair array needs {need / 2**20:.0f} MiB, "
+            f"{what} would be a dense {rows} x {cols} pair array of {need / 2**20:.0f} MiB, "
             f"over the {_DENSE_PAIR_BYTES >> 20} MiB limit of dense pair storage; "
             "use a coarser grid"
         )
@@ -384,24 +385,16 @@ class GridDomain:
             yield sl, table[row_key - key[cols[sl]]]
 
     def pair_power_sums(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
-        """Sum over the distinct cells j in cols of |x_i - x_j|^a, for i in rows.
+        """Row sums of pair_powers: sum over j in cols of |x_i - x_j|^a, for i in rows."""
+        out = np.zeros(len(rows))
+        for _, block in self.pair_powers(rows, cols, a):
+            out += block.sum(axis=1)
+        return out
 
-        Row i reads one contiguous window of the offset table, and the
-        cells of cols pick the same positions within every row's window.
-        """
-        table, zero = self._offset_table(a)
-        col_key = self._offset_key[cols]
-        if len(col_key) == 0:
-            return np.zeros(len(rows))
-        hi = col_key.max()
-        picked = np.zeros(hi - col_key.min() + 1, dtype=bool)
-        picked[hi - col_key] = True
-        starts = self._offset_key[rows] + zero - hi
-        return np.array([table[lo : lo + len(picked)][picked].sum() for lo in starts])
-
-    def pair_power(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
-        """The whole rows x cols table of pair_powers, within the dense budget."""
-        check_dense_pairs(len(rows), len(cols))
+    def pair_power(self, rows: NDArray, cols: NDArray, a: float, what: str) -> NDArray:
+        """The whole rows x cols table of pair_powers, within the dense budget;
+        `what` names the table in the error raised beyond that budget."""
+        check_dense_pairs(len(rows), len(cols), what)
         out = np.empty((len(rows), len(cols)))
         for sl, block in self.pair_powers(rows, cols, a):
             out[:, sl] = block

@@ -109,7 +109,7 @@ def _suite_clarkson(dom, params, cfg, rng):
 
 
 def _suite_adjoint(dom, params, cfg, rng):
-    check_dense_pairs(dom.n_cells, dom.n_cells)
+    check_dense_pairs(dom.n_cells, dom.n_cells, "the adjoint suite's random pair field")
     h2n = dom.h ** (2 * dom.dim)
     hn = dom.h**dom.dim
     worst = 0.0

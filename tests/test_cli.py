@@ -200,7 +200,8 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "dense pair" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "adjoint suite's random pair field" in err and "dense pair" in err
         assert peak < 1 << 28
 
 

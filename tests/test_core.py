@@ -82,10 +82,14 @@ class TestKernelTables:
 def test_dense_pairs_refused_before_allocation():
     # 25,276 ball cells: one dense pair array would take 5.1 GB
     dom = build_domain(box_spec(1 / 32), t=4.0)
-    with pytest.raises(ValueError, match="dense pair"):
+    with pytest.raises(ValueError, match="the nonlocal gradient would be a dense "):
         nonlocal_gradient(GridFunction.indicator(dom), PARAMS)
-    with pytest.raises(ValueError, match="dense pair"):
+    with pytest.raises(ValueError, match="a pair function would be a dense "):
         PairFunction(np.zeros((1, 1)), dom)
+    # 9,000 free cells: the energy kernel's Omega x Omega table would take 618 MiB
+    dom = build_domain(interval_spec(1 / 9000), t=4.0)
+    with pytest.raises(ValueError, match="energy kernel's Omega x Omega table would be a dense "):
+        energy_kernel(dom, PARAMS)
 
 
 class TestGagliardoEnergy:
