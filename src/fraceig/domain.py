@@ -36,8 +36,9 @@ __all__ = [
 # slack applied to geometric comparisons so exact lattice ties classify
 # deterministically instead of falling to rounding noise
 _GEOM_RTOL = 1e-12
-# entries per column chunk when streaming pair-weight tables
-_CHUNK_ENTRIES = 1 << 22
+# entries per column chunk when streaming pair-weight tables; 2 MiB chunks
+# of gathered weights and their indices stay in cache
+_CHUNK_ENTRIES = 1 << 18
 # bytes one dense float64 pair array may take; larger pair operations are
 # refused before anything of that size is allocated
 _DENSE_PAIR_BYTES = 1 << 29
