@@ -14,6 +14,14 @@ near-tie pairs drive its condition number and a plain Cholesky solve would
 lose exactly the digits the inner tolerance asks for.  Near the minimum
 the objective saturates in float before tight gradient targets are met;
 steps that contract the gradient are then accepted on that evidence.
+
+A caller may also pass the float floor of the gradient norm, a callable of
+the iterate.  A trial whose predicted decrease lies below the objective's
+float resolution (4 eps |f|) cannot be judged by the objective at all; if
+the gradient already sits at the floor there, the current iterate is
+returned at once, since further damping would only rescale noise.  The
+floor is evaluated only at such trials, so solves that never reach it pay
+nothing.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ def minimize_convex(
     x0: NDArray,
     gtol: float,
     max_evals: int,
+    floor: Callable[[NDArray], float] | None = None,
 ) -> DescentResult:
     """Minimize a convex objective from x0 until ||grad||_2 <= gtol.
 
@@ -75,7 +84,9 @@ def minimize_convex(
     exact pair ties); quad is the SPD damping metric.  Returns early when
     neither the objective nor the gradient norm improves any further,
     which signals the float floor of the problem rather than missing
-    optimality.
+    optimality.  floor(x), when given, is the gradient norm below which
+    no step at x is resolvable; a trial below the objective's resolution
+    at such an x ends the solve.  converged still means ||grad|| <= gtol.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_grad(x)
@@ -90,12 +101,20 @@ def minimize_convex(
         accepted = False
         x_new, f_new, g_new = x, f, g
         f_slack = f + 4.0 * np.finfo(float).eps * (abs(f) + 1e-300)
+        at_floor = None  # floor(x) is evaluated at most once per iterate
         for _ in range(_MAX_REJECTS):
             d = _solve_damped(h, quad, g, mu)
             if d is None:
                 mu = min(4.0 * mu, _MU_MAX)
                 continue
             predicted = float(np.dot(g, d)) - 0.5 * float(np.dot(d, h @ d))
+            if floor is not None and predicted <= f_slack - f:
+                if at_floor is None:
+                    at_floor = gnorm <= floor(x)
+                if at_floor:
+                    # below resolution at the float floor: neither more
+                    # damping nor a noise step can improve on x
+                    return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
             if predicted <= 0.0:
                 mu = min(4.0 * mu, _MU_MAX)
                 continue

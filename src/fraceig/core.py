@@ -31,6 +31,11 @@ __all__ = [
     "nonlocal_divergence",
 ]
 
+# relative gradient level below which the damped-Newton endgame cannot
+# polish further for p != 2 (eps times the tie-driven condition number)
+_REL_POLISH_FLOOR = 1e-7
+
+
 def phi_p(z: NDArray, p: float) -> NDArray:
     """Odd power |z|^(p-2) z, continuously extended by 0 at z = 0."""
     return np.abs(z) ** (p - 1.0) * np.sign(z)
@@ -307,6 +312,15 @@ class EnergyKernel:
         rows += ((zi + delta) ** (p - 1.0) - zi ** (p - 1.0)) * self.k_out
         granularity = float(np.linalg.norm(2.0 * self.h2n * rows))
         return max(granularity, eps * self.grad_envelope(u_om))
+
+    def gradient_floor(self, w: NDArray, b_norm: float) -> float:
+        """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.
+
+        The larger of the assembly floor (residual_floor, with a 4x margin)
+        and the relative polishing limit of the p != 2 damped-Newton
+        endgame, _REL_POLISH_FLOOR times ||b||.
+        """
+        return max(4.0 * self.residual_floor(w), _REL_POLISH_FLOOR * b_norm)
 
     def psmall_pairwise_gap(self, u_om: NDArray, v_om: NDArray):
         """Worst gap of the 1<p<2 pairwise monotonicity inequality.

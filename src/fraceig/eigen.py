@@ -120,12 +120,16 @@ def first_eigenpair(
         # inexact inverse power: early inner solves only need to track the
         # outer residual; the tolerance tightens as the eigenpair settles
         gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
-        gtol = gtol_rel * max(float(np.linalg.norm(b)), 1e-300)
+        b_norm = float(np.linalg.norm(b))
+        gtol = gtol_rel * max(b_norm, 1e-300)
 
         def value_grad(w: NDArray):
             val = kern.energy(w) / p - float(np.dot(b, w))
             grad = kern.grad_omega(w) / p - b
             return val, grad
+
+        def floor(w: NDArray) -> float:
+            return kern.gradient_floor(w, b_norm)
 
         # the indicator start carries exact pair ties; the quadratic-form
         # solve gives a smooth first inner iterate instead
@@ -135,7 +139,7 @@ def first_eigenpair(
         for attempt in range(3):
             inner = minimize_convex(
                 value_grad, kern.hessian_omega, kern.quad_matrix,
-                x0, gtol, cfg.max_iter_inner,
+                x0, gtol, cfg.max_iter_inner, floor,
             )
             w = np.abs(inner.x)
             nrm = float(np.sum(w**p) * hn) ** (1.0 / p)

@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import SweepReport
 from .core import GridFunction, PairFunction
 from .dirichlet import DirichletProblem
-from .domain import DomainSpec, GridDomain
+from .domain import DomainSpec, GridDomain, check_dense_pairs
 from .eigen import Eigenpair
 from .params import FracParams
 
@@ -38,9 +38,15 @@ def save_json(obj: dict, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def load_domain_spec(path) -> DomainSpec:
+def _load_object(path, what: str) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return DomainSpec.from_dict(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_domain_spec(path) -> DomainSpec:
+    return DomainSpec.from_dict(_load_object(path, "domain spec"))
 
 
 def save_domain_spec(spec: DomainSpec, path) -> None:
@@ -116,7 +122,7 @@ def save_trace_csv(pair: Eigenpair, path) -> None:
 
 
 def load_problem(path, host: GridDomain) -> tuple[DirichletProblem, FracParams]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _load_object(path, "problem file")
     params = FracParams(s=float(data["s"]), p=float(data["p"]), t=float(data.get("t", 4.0)))
     f_raw = data["f"]
     if isinstance(f_raw, (int, float)):
@@ -127,6 +133,8 @@ def load_problem(path, host: GridDomain) -> tuple[DirichletProblem, FracParams]:
     if pair_raw is None or pair_raw == "none":
         pair = None
     else:
+        # refuse an oversized pair datum before converting the parsed list
+        check_dense_pairs(host.n_cells, host.n_cells, "the problem file's pair datum F")
         pair = PairFunction(np.asarray(pair_raw, dtype=float), host)
     return DirichletProblem(host=host, params=params, f=f, F=pair), params
 

@@ -96,6 +96,28 @@ class TestSolve:
                     "--out", tmp_path / "x.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "[1]"])
+    def test_problem_not_an_object_exits_2(self, domain_file, tmp_path, capsys, text):
+        prob = tmp_path / "prob.json"
+        prob.write_text(text)
+        code = run(["solve", "--domain", domain_file, "--problem", prob,
+                    "--out", tmp_path / "x.json"])
+        assert code == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_pair_datum_beyond_dense_budget_exits_2(self, tmp_path, capsys):
+        # the 2D box at h=1/32 has 25,276 ball cells, over the 8,192 that one
+        # dense pair array allows; the guard fires before the list converts
+        path = tmp_path / "box.json"
+        save_domain_spec(box_spec(1 / 32), path)
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"f": 1.0, "F": [[0.0]], "s": 0.5, "p": 2.0, "t": 4.0}))
+        code = run(["solve", "--domain", path, "--problem", prob,
+                    "--out", tmp_path / "x.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the problem file's pair datum F" in err and "dense pair" in err
+
 
 class TestSweep:
     def test_three_point_csv(self, domain_file, tmp_path, capsys):
@@ -159,6 +181,14 @@ class TestPoincare:
         printed = float(capsys.readouterr().out.strip())
         dom = build_domain(load_domain_spec(domain_file), t=4.0)
         assert printed == poincare_constant(dom, FracParams(s=0.5, p=2.0))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "[1]"])
+    def test_domain_not_an_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "domain.json"
+        path.write_text(text)
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
+        assert code == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
 
 
 class TestVerify:

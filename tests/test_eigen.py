@@ -75,6 +75,26 @@ class TestFirstEigenpair:
         assert pair.lam == pytest.approx(oracle.lam, rel=1e-6)
         assert lp_norm(pair.eigenfunction - oracle.eigenfunction, 2.0) <= 1e-4
 
+    def test_p_small_endgame_stops_at_float_floor(self, box8, monkeypatch):
+        # the inner solves return once a damped trial falls below the
+        # objective's float resolution at the gradient floor, instead of
+        # ramping the damping through dozens of rejected factorizations
+        import scipy.linalg
+
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        pair = first_eigenpair(box8, FracParams(s=0.5, p=1.5))
+        assert len(calls) <= 40  # 264 without the floor exit
+        assert pair.lam == pytest.approx(32.76385791815459, rel=1e-10)
+        assert pair.residual <= 1e-7
+        assert pair.iterations == 16
+
     def test_scaling_law_sp_one(self, interval16):
         lam = first_eigenpair(interval16, P2).lam
         lam2 = first_eigenpair(dilate(interval16, 2.0), P2).lam
