@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # configuration used when a check needs eigenvalues at their float floor
-_POLISH = {"tol": 5e-15, "inner_tol": 1e-12, "max_iter_outer": 4000}
+_POLISH = {"tol": 5e-15, "inner_tol": 1e-12}
 
 
 @dataclass
@@ -51,6 +51,7 @@ class SweepRow:
     iterations: int
     residual: float
     converged: bool
+    stop_reason: str
 
 
 @dataclass
@@ -151,6 +152,7 @@ def s_sweep(
                 iterations=pair.iterations,
                 residual=pair.residual,
                 converged=pair.converged,
+                stop_reason=pair.stop_reason,
             )
         )
         functions[s] = pair.eigenfunction

@@ -32,7 +32,8 @@ __all__ = [
 ]
 
 # relative gradient level below which the damped-Newton endgame cannot
-# polish further for p != 2 (eps times the tie-driven condition number)
+# polish further for p != 2 (eps times the tie-driven condition number);
+# gradient_floor applies it at every p, so at p = 2 it is a policy bound
 _REL_POLISH_FLOOR = 1e-7
 
 
@@ -317,8 +318,8 @@ class EnergyKernel:
         """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.
 
         The larger of the assembly floor (residual_floor, with a 4x margin)
-        and the relative polishing limit of the p != 2 damped-Newton
-        endgame, _REL_POLISH_FLOOR times ||b||.
+        and _REL_POLISH_FLOOR * ||b||, the damped-Newton polishing limit:
+        a float floor for p != 2, a policy bound at p = 2.
         """
         return max(4.0 * self.residual_floor(w), _REL_POLISH_FLOOR * b_norm)
 

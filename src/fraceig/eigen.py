@@ -36,19 +36,17 @@ __all__ = [
 _ORACLE_MAX_FREE = 4096
 # slack for float noise in monotonicity checks near the iteration floor
 _TRACE_SLACK = 1e-11
-# residual cap accepted at the float floor of the iteration map: the weak
-# residual assembles with cancellation and cannot certify below this level
-# on stiff kernels even when the eigenvalue is exact to machine precision
-_RES_FLOOR_CAP = 1e-6
 
 
 @dataclass
 class Eigenpair:
     """First eigenvalue with its normalized positive eigenfunction.
 
-    trace records one (lambda, residual) row per outer iteration; residual
-    is the relative l2 norm of the weak-form optimality defect over the
-    free cells.
+    trace records one (lambda, residual) row per accepted outer iterate;
+    residual is the relative l2 norm of the weak-form optimality defect
+    over the free cells.  stop_reason is "tol" or "float floor" when
+    converged, else "stalled" (float fixed point above the floor) or
+    "budget" (outer iterations spent).
     """
 
     lam: float
@@ -57,6 +55,7 @@ class Eigenpair:
     iterations: int = 0
     residual: float = 0.0
     converged: bool = True
+    stop_reason: str = "tol"
 
     def validate(self, params: FracParams, rtol: float = 1e-8) -> None:
         u = self.eigenfunction
@@ -89,9 +88,14 @@ def first_eigenpair(
 ) -> Eigenpair:
     """Inverse-power iteration for the smallest Rayleigh quotient.
 
-    Stops when the relative eigenvalue change and the weak residual both
-    drop below cfg.tol.  Raises ConvergenceError (carrying the partial
-    eigenpair) when the outer budget is exhausted.
+    One floor test decides: the weak residual is at most cfg.tol, or
+    res * ||b|| is at most kern.gradient_floor(u, ||b||), b = lambda
+    phi_p(u) h^N, the level where the inner solves return their start.
+    The loop stops once an accepted step moves lambda by at most cfg.tol
+    relative at the floor, or at the float fixed point: a step that leaves
+    u unchanged or raises lambda by over 1e-12 relative, which is refused.
+    converged is the floor test at exit; otherwise ConvergenceError
+    carries the partial eigenpair.
     """
     if dom.n_omega == 0:
         raise ValueError("domain has no Omega cell")
@@ -112,16 +116,21 @@ def first_eigenpair(
     lam = kern.energy(u_om)
     res = _residual(kern, u_om, lam)
     trace: list[tuple[float, float]] = [(lam, res)]
-    converged = False
-    n = 0
 
+    def at_floor() -> bool:
+        if res <= cfg.tol:
+            return True
+        b_norm = lam * float(np.linalg.norm(phi_p(u_om, p))) * hn
+        return res * b_norm <= kern.gradient_floor(u_om, b_norm)
+
+    stop_reason = "budget"
+    n = 0
     for n in range(1, cfg.max_iter_outer + 1):
         b = lam * phi_p(u_om, p) * hn
         # inexact inverse power: early inner solves only need to track the
         # outer residual; the tolerance tightens as the eigenpair settles
         gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
         b_norm = float(np.linalg.norm(b))
-        gtol = gtol_rel * max(b_norm, 1e-300)
 
         def value_grad(w: NDArray):
             val = kern.energy(w) / p - float(np.dot(b, w))
@@ -134,51 +143,30 @@ def first_eigenpair(
         # the indicator start carries exact pair ties; the quadratic-form
         # solve gives a smooth first inner iterate instead
         x0 = kern.scaled_start(b) if n == 1 else u_om
-        lam_new = lam
-        u_new = u_om
-        for attempt in range(3):
-            inner = minimize_convex(
-                value_grad, kern.hessian_omega, kern.quad_matrix,
-                x0, gtol, cfg.max_iter_inner, floor,
-            )
-            w = np.abs(inner.x)
-            nrm = float(np.sum(w**p) * hn) ** (1.0 / p)
-            if nrm == 0.0:
-                raise ConvergenceError("inner solve collapsed to zero", partial=None)
-            u_new = w / nrm
-            lam_new = kern.energy(u_new)
-            if lam_new <= lam * (1.0 + 1e-12):
-                break
-            gtol *= 1e-2  # inner solve too loose to certify a decrease
-
-        if lam_new > lam * (1.0 + 1e-12):
-            # Rayleigh value at its float floor; keep the better iterate
-            converged = res <= max(cfg.tol, _RES_FLOOR_CAP)
+        inner = minimize_convex(
+            value_grad, kern.hessian_omega, kern.quad_matrix,
+            x0, gtol_rel * max(b_norm, 1e-300), cfg.max_iter_inner, floor,
+        )
+        w = np.abs(inner.x)
+        nrm = float(np.sum(w**p) * hn) ** (1.0 / p)
+        if nrm == 0.0:
+            raise ConvergenceError("inner solve collapsed to zero", partial=None)
+        u_new = w / nrm
+        lam_new = kern.energy(u_new)
+        if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
+            stop_reason = "stalled"  # float fixed point: keep the better iterate
             break
 
-        stagnated = np.array_equal(u_new, u_om)
         res = _residual(kern, u_new, lam_new)
-        delta = abs(lam_new - lam)
         trace.append((lam_new, res))
+        step = lam - lam_new
         u_om, lam = u_new, lam_new
-        if delta <= cfg.tol * lam_new and res <= cfg.tol:
-            converged = True
+        if step <= cfg.tol * lam and at_floor():
             break
-        # the float floor: the iteration map has a fixed point in float, or
-        # the eigenvalue stagnates in one step or across a window
-        floor_res = res <= max(cfg.tol, _RES_FLOOR_CAP)
-        if stagnated and floor_res:
-            converged = True
-            break
-        if delta <= 5e-15 * lam_new and floor_res:
-            converged = True
-            break
-        if len(trace) > 10 and floor_res:
-            lam_before = trace[-11][0]
-            if lam_before - lam_new <= 1e-13 * lam_new:
-                converged = True
-                break
 
+    converged = at_floor()
+    if converged:
+        stop_reason = "tol" if res <= cfg.tol else "float floor"
     pair = Eigenpair(
         lam=lam,
         eigenfunction=GridFunction.from_omega(dom, u_om),
@@ -186,10 +174,12 @@ def first_eigenpair(
         iterations=n,
         residual=res,
         converged=converged,
+        stop_reason=stop_reason,
     )
     if not converged:
+        what = "stalled above the float floor" if stop_reason == "stalled" else "budget spent"
         raise ConvergenceError(
-            f"eigen solve did not converge in {cfg.max_iter_outer} outer iterations",
+            f"eigen solve {what} after {n} outer iterations (residual {res:.3e})",
             partial=pair,
         )
     return pair

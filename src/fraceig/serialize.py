@@ -108,6 +108,7 @@ def save_eigenpair(pair: Eigenpair, params: FracParams, path) -> None:
         "iterations": pair.iterations,
         "residual": pair.residual,
         "converged": pair.converged,
+        "stop_reason": pair.stop_reason,
         "u": pair.eigenfunction.values.tolist(),
     }
     save_json(payload, path)

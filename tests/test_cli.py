@@ -60,6 +60,8 @@ class TestEig:
         assert code == 3
         data = json.loads(out.read_text())
         assert data["converged"] is False
+        assert data["stop_reason"] == "budget"
+        assert "budget spent" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -127,6 +129,9 @@ class TestSweep:
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
+        assert lines[0] == "s,lambda,weighted_lambda,dist_to_base,iters,residual"
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert all(r["stop_reason"] in ("tol", "float floor") for r in rows)
 
     def test_s_range_seven_rows(self, domain_file, tmp_path):
         out = tmp_path / "sweep"

@@ -17,6 +17,7 @@ from fraceig import (
     poincare_constant,
     seminorm_distance,
 )
+from fraceig.core import energy_kernel, phi_p
 
 from _oracles import dense_p2_eigenpair
 from conftest import interval_spec, random_function
@@ -93,7 +94,7 @@ class TestFirstEigenpair:
         assert len(calls) <= 40  # 264 without the floor exit
         assert pair.lam == pytest.approx(32.76385791815459, rel=1e-10)
         assert pair.residual <= 1e-7
-        assert pair.iterations == 16
+        assert pair.iterations == 15
 
     def test_scaling_law_sp_one(self, interval16):
         lam = first_eigenpair(interval16, P2).lam
@@ -161,12 +162,54 @@ class TestFirstEigenpair:
 
     def test_nonconvergence_carries_partial(self, interval16):
         cfg = SolverConfig(tol=1e-30, max_iter_outer=2)
-        with pytest.raises(ConvergenceError) as exc_info:
+        with pytest.raises(ConvergenceError, match="budget spent") as exc_info:
             first_eigenpair(interval16, FracParams(s=0.5, p=3.0), cfg)
         partial = exc_info.value.partial
         assert partial is not None
         assert not partial.converged
+        assert partial.stop_reason == "budget"
         assert len(partial.trace) >= 2
+
+    def test_fixed_point_above_floor_is_stalled(self, interval16):
+        # one evaluation per inner solve returns each start unchanged, so
+        # the iteration reaches its float fixed point far above the floor
+        cfg = SolverConfig(max_iter_inner=1)
+        with pytest.raises(ConvergenceError, match="stalled above the float floor") as exc_info:
+            first_eigenpair(interval16, FracParams(s=0.5, p=3.0), cfg)
+        partial = exc_info.value.partial
+        assert partial.stop_reason == "stalled"
+        assert not partial.converged and partial.residual > 1e-3
+
+    def test_converged_meets_tol_or_computed_floor(self, interval16, box8):
+        tol = SolverConfig().tol
+        for dom, p in ((interval16, 1.5), (interval16, 2.0), (interval16, 3.0), (box8, 1.5)):
+            params = FracParams(s=0.5, p=p)
+            pair = first_eigenpair(dom, params)
+            assert pair.converged
+            if pair.residual <= tol:
+                assert pair.stop_reason == "tol"
+                continue
+            assert pair.stop_reason == "float floor"
+            kern = energy_kernel(dom, params)
+            u = pair.eigenfunction.omega_values
+            b_norm = pair.lam * float(np.linalg.norm(phi_p(u, p))) * kern.hn
+            assert pair.residual * b_norm <= kern.gradient_floor(u, b_norm)
+
+    def test_loose_tol_stops_on_tol(self, interval16):
+        pair = first_eigenpair(interval16, FracParams(s=0.5, p=3.0), SolverConfig(tol=1e-6))
+        assert pair.converged and pair.stop_reason == "tol"
+        assert pair.residual <= 1e-6
+
+    def test_restart_from_eigenfunction_stops_at_once(self, interval16, box8):
+        # a loose inner solve from the quadratic-form start raises lambda;
+        # that step is refused and the eigenfunction kept
+        for dom, p in ((interval16, 3.0), (box8, 1.5)):
+            params = FracParams(s=0.5, p=p)
+            first = first_eigenpair(dom, params)
+            for cfg in (SolverConfig(), SolverConfig(inner_tol=0.5)):
+                again = first_eigenpair(dom, params, cfg, start=first.eigenfunction)
+                assert again.converged and again.iterations <= 1
+                assert again.lam <= first.lam * (1.0 + 1e-12)
 
     def test_empty_start_rejected(self, interval16):
         zero = GridFunction.from_omega(interval16, np.zeros(interval16.n_omega))

@@ -78,6 +78,7 @@ def test_eigenpair_and_trace(tmp_path, interval16):
     assert data["h"] == interval16.h
     assert len(data["u"]) == interval16.n_cells
     assert data["converged"] is True
+    assert data["stop_reason"] == pair.stop_reason
 
     trace_path = tmp_path / "trace.csv"
     save_trace_csv(pair, trace_path)
