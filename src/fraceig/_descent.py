@@ -38,8 +38,6 @@ _MU_MIN = 1e-14
 _MU_MAX = 1e30
 _RHO_ACCEPT = 1e-4
 _MAX_REJECTS = 60
-_STALL_WINDOW = 30
-_STALL_FACTOR = 0.9995
 
 
 @dataclass
@@ -82,7 +80,7 @@ def minimize_convex(
 
     hessian(x) returns the dense curvature matrix (already floored against
     exact pair ties); quad is the SPD damping metric.  Returns early when
-    neither the objective nor the gradient norm improves any further,
+    no damped trial improves the objective or contracts the gradient,
     which signals the float floor of the problem rather than missing
     optimality.  floor(x), when given, is the gradient norm below which
     no step at x is resolvable; a trial below the objective's resolution
@@ -93,8 +91,6 @@ def minimize_convex(
     evals = 1
     gnorm = float(np.linalg.norm(g))
     mu = 1e-8
-    best_gnorm = gnorm
-    since_best = 0
 
     while gnorm > gtol and evals < max_evals:
         h = hessian(x)
@@ -141,11 +137,5 @@ def minimize_convex(
 
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
-        if gnorm < _STALL_FACTOR * best_gnorm:
-            best_gnorm, since_best = min(gnorm, best_gnorm), 0
-        else:
-            since_best += 1
-            if since_best >= _STALL_WINDOW:
-                return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
 
     return DescentResult(x, f, gnorm, evals, gnorm <= gtol)

@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 # relative gradient level below which the damped-Newton endgame cannot
-# polish further for p != 2 (eps times the tie-driven condition number);
-# gradient_floor applies it at every p, so at p = 2 it is a policy bound
+# polish further for p < 2 (eps times the tie-driven condition number);
+# gradient_floor applies it only there
 _REL_POLISH_FLOOR = 1e-7
 
 
@@ -222,13 +222,17 @@ class EnergyKernel:
         p = self.params.p
         scale = float(np.max(np.abs(w))) if len(w) else 0.0
         delta = 1e-14 * max(scale, 1.0)
-        diff = np.abs(w[:, None] - w[None, :])
-        np.maximum(diff, delta, out=diff)
-        wgt = diff ** (p - 2.0) * self.K_oo
-        ext = np.maximum(np.abs(w), delta) ** (p - 2.0) * self.k_out
-        h = -wgt
-        h[np.diag_indices_from(h)] = np.sum(wgt, axis=1) + ext
-        return 2.0 * (p - 1.0) * self.h2n * h
+        # one n x n buffer: difference, tie floor, weight, then the matrix
+        h = np.subtract.outer(w, w)
+        np.abs(h, out=h)
+        np.maximum(h, delta, out=h)
+        h **= p - 2.0
+        h *= self.K_oo
+        diag = np.sum(h, axis=1) + np.maximum(np.abs(w), delta) ** (p - 2.0) * self.k_out
+        np.negative(h, out=h)
+        h[np.diag_indices_from(h)] = diag
+        h *= 2.0 * (p - 1.0) * self.h2n
+        return h
 
     # -- scalar reductions ------------------------------------------------
 
@@ -317,11 +321,17 @@ class EnergyKernel:
     def gradient_floor(self, w: NDArray, b_norm: float) -> float:
         """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.
 
-        The larger of the assembly floor (residual_floor, with a 4x margin)
-        and _REL_POLISH_FLOOR * ||b||, the damped-Newton polishing limit:
-        a float floor for p != 2, a policy bound at p = 2.
+        The assembly floor residual_floor with a 4x margin.  For p < 2 the
+        damped-Newton polishing limit _REL_POLISH_FLOOR * ||b|| is taken
+        when larger: near-tie pairs drive the Hessian's condition number
+        there.  For p >= 2 the pair weights stay bounded at ties, and the
+        bordered Newton endgame of first_eigenpair reaches the computed
+        floor.
         """
-        return max(4.0 * self.residual_floor(w), _REL_POLISH_FLOOR * b_norm)
+        floor = 4.0 * self.residual_floor(w)
+        if self.params.p < 2.0:
+            return max(floor, _REL_POLISH_FLOOR * b_norm)
+        return floor
 
     def psmall_pairwise_gap(self, u_om: NDArray, v_om: NDArray):
         """Worst gap of the 1<p<2 pairwise monotonicity inequality.

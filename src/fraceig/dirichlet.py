@@ -75,7 +75,7 @@ def solve_dirichlet(
     Strict convexity plus the Poincare bound make the objective coercive,
     so descent converges globally; the returned iterate has weak residual
     below cfg.inner_tol relative to the datum scale, capped below by the
-    float polishing floor of the p != 2 endgame (about 1e-7 relative: the
+    float polishing floor of the p < 2 endgame (about 1e-7 relative: the
     Newton direction accuracy is eps times the tie-driven condition
     number, and pair-difference granularity bounds the gradient itself).
     start overrides the default scale-matched starting point (the

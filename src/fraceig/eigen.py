@@ -9,10 +9,20 @@ value lambda_n, the next iterate minimizes
 is replaced by its absolute value and renormalized.  The energy never
 increases under absolute value and the first eigenfunction is signless, so
 the Rayleigh values decrease along the outer loop.
+
+For p >= 2, once the weak residual is at most _NEWTON_SWITCH, each outer
+step is instead one Newton step on the bordered eigen-system in (u,
+lambda), which converges quadratically: the first eigenvalue is simple
+and its eigenfunction positive, so the bordered Jacobian is nonsingular
+there.  A Newton step that fails to solve or raises lambda is discarded
+for the inverse-power step.  For p < 2 the pair weights |u_i - u_j|^(p-2)
+blow up at near-ties, the same Newton endgame stalls or runs out of
+budget, and the damped inverse-power endgame is kept.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +35,8 @@ from .domain import GridDomain
 from .errors import ConvergenceError
 from .params import FracParams, SolverConfig
 
+_log = logging.getLogger(__name__)
+
 __all__ = [
     "Eigenpair",
     "first_eigenpair",
@@ -34,6 +46,8 @@ __all__ = [
 ]
 
 _ORACLE_MAX_FREE = 4096
+# weak residual below which p >= 2 solves take bordered Newton steps
+_NEWTON_SWITCH = 1e-2
 # slack for float noise in monotonicity checks near the iteration floor
 _TRACE_SLACK = 1e-11
 
@@ -80,6 +94,79 @@ def _residual(kern: EnergyKernel, u_om: NDArray, lam: float) -> float:
     return float(np.linalg.norm(r)) / max(scale, 1e-300)
 
 
+def _normalized(w: NDArray, p: float, hn: float) -> NDArray | None:
+    """w scaled to unit L^p norm, or None when w vanishes."""
+    nrm = float(np.sum(w**p) * hn) ** (1.0 / p)
+    return None if nrm == 0.0 else w / nrm
+
+
+def _inverse_power_step(
+    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool,
+    cfg: SolverConfig,
+) -> NDArray:
+    """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) h^N."""
+    p, hn = kern.params.p, kern.hn
+    b = lam * phi_p(u_om, p) * hn
+    # inexact inverse power: early inner solves only need to track the
+    # outer residual; the tolerance tightens as the eigenpair settles
+    gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
+    b_norm = float(np.linalg.norm(b))
+
+    def value_grad(w: NDArray):
+        val = kern.energy(w) / p - float(np.dot(b, w))
+        grad = kern.grad_omega(w) / p - b
+        return val, grad
+
+    def floor(w: NDArray) -> float:
+        return kern.gradient_floor(w, b_norm)
+
+    # the indicator start carries exact pair ties; the quadratic-form
+    # solve gives a smooth first inner iterate instead
+    x0 = kern.scaled_start(b) if first else u_om
+    inner = minimize_convex(
+        value_grad, kern.hessian_omega, kern.quad_matrix,
+        x0, gtol_rel * max(b_norm, 1e-300), cfg.max_iter_inner, floor,
+    )
+    u_new = _normalized(np.abs(inner.x), p, hn)
+    if u_new is None:
+        raise ConvergenceError("inner solve collapsed to zero", partial=None)
+    return u_new
+
+
+def _bordered_newton(kern: EnergyKernel, u_om: NDArray, lam: float) -> NDArray | None:
+    """One Newton step on the bordered eigen-system, as normalized |u + du|.
+
+    F(u, lam) = [grad E(u)/p - lam c ; (sum |u|^p h^N - 1)/p], c = phi_p(u) h^N.
+    Its Jacobian [[H - lam (p-1) diag|u|^(p-2) h^N, -c], [c^T, 0]], with H
+    the curvature of E/p, is solved with its last row negated, which makes
+    it symmetric; it is nonsingular at the first eigenpair, which is simple
+    with a positive eigenfunction.  Returns None when the solve fails.
+    """
+    p, hn = kern.params.p, kern.hn
+    n = len(u_om)
+    c = phi_p(u_om, p) * hn
+    # one Fortran-order buffer, factorized in place
+    jac = np.empty((n + 1, n + 1), order="F")
+    jac[:n, :n] = kern.hessian_omega(u_om)
+    diag = np.arange(n)
+    jac[diag, diag] -= lam * (p - 1.0) * np.abs(u_om) ** (p - 2.0) * hn
+    jac[:n, n] = -c
+    jac[n, :n] = -c
+    jac[n, n] = 0.0
+    rhs = np.empty(n + 1)
+    rhs[:n] = lam * c - kern.grad_omega(u_om) / p
+    rhs[n] = (float(np.sum(np.abs(u_om) ** p)) * hn - 1.0) / p
+    try:
+        delta = scipy.linalg.solve(
+            jac, rhs, assume_a="sym", overwrite_a=True, check_finite=False
+        )
+    except scipy.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(delta)):
+        return None
+    return _normalized(np.abs(u_om + delta[:n]), p, hn)
+
+
 def first_eigenpair(
     dom: GridDomain,
     params: FracParams,
@@ -88,7 +175,11 @@ def first_eigenpair(
 ) -> Eigenpair:
     """Inverse-power iteration for the smallest Rayleigh quotient.
 
-    One floor test decides: the weak residual is at most cfg.tol, or
+    For p >= 2 the outer steps become bordered Newton steps once the
+    residual is at most _NEWTON_SWITCH; a Newton step that fails or
+    raises lambda by over 1e-12 relative is discarded (logged at DEBUG)
+    and the inverse-power step taken.  p < 2 keeps the inverse-power
+    endgame throughout.  One floor test decides: the weak residual is at most cfg.tol, or
     res * ||b|| is at most kern.gradient_floor(u, ||b||), b = lambda
     phi_p(u) h^N, the level where the inner solves return their start.
     The loop stops once an accepted step moves lambda by at most cfg.tol
@@ -126,33 +217,20 @@ def first_eigenpair(
     stop_reason = "budget"
     n = 0
     for n in range(1, cfg.max_iter_outer + 1):
-        b = lam * phi_p(u_om, p) * hn
-        # inexact inverse power: early inner solves only need to track the
-        # outer residual; the tolerance tightens as the eigenpair settles
-        gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
-        b_norm = float(np.linalg.norm(b))
-
-        def value_grad(w: NDArray):
-            val = kern.energy(w) / p - float(np.dot(b, w))
-            grad = kern.grad_omega(w) / p - b
-            return val, grad
-
-        def floor(w: NDArray) -> float:
-            return kern.gradient_floor(w, b_norm)
-
-        # the indicator start carries exact pair ties; the quadratic-form
-        # solve gives a smooth first inner iterate instead
-        x0 = kern.scaled_start(b) if n == 1 else u_om
-        inner = minimize_convex(
-            value_grad, kern.hessian_omega, kern.quad_matrix,
-            x0, gtol_rel * max(b_norm, 1e-300), cfg.max_iter_inner, floor,
-        )
-        w = np.abs(inner.x)
-        nrm = float(np.sum(w**p) * hn) ** (1.0 / p)
-        if nrm == 0.0:
-            raise ConvergenceError("inner solve collapsed to zero", partial=None)
-        u_new = w / nrm
-        lam_new = kern.energy(u_new)
+        u_new = None
+        if p >= 2.0 and res <= _NEWTON_SWITCH:
+            u_new = _bordered_newton(kern, u_om, lam)
+            lam_new = np.inf if u_new is None else kern.energy(u_new)
+            if lam_new > lam * (1.0 + 1e-12):
+                _log.debug(
+                    "bordered Newton step refused at outer iteration %d "
+                    "(lambda %.17g, residual %.3e); taking the inverse-power step",
+                    n, lam, res,
+                )
+                u_new = None
+        if u_new is None:
+            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg)
+            lam_new = kern.energy(u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate
             break

@@ -51,6 +51,32 @@ def operator_double_sum(cells, values, omega_mask, h, dim, s, p):
     return g
 
 
+def hessian_loops(cells, values, omega_mask, h, dim, s, p):
+    """Curvature of energy/p in the free-cell values, by explicit loops.
+
+    Each ordered pair (i, j) adds (1/p)|u_i - u_j|^p |x_i - x_j|^-(N+sp) h^(2N);
+    its second derivatives carry the weight (p-1)|u_i - u_j|^(p-2), with
+    |u_i - u_j| floored at 1e-14 max(max|u|, 1) as in the solver.  Pairs
+    toward exterior cells (u_j = 0) add to the diagonal only.
+    """
+    expo = dim + s * p
+    free = [i for i, f in enumerate(omega_mask) if f]
+    col = {i: k for k, i in enumerate(free)}
+    delta = 1e-14 * max(max(abs(v) for v in values), 1.0)
+    out = np.zeros((len(free), len(free)))
+    for ii, i in enumerate(free):
+        for j in range(len(cells)):
+            if j == i:
+                continue
+            z = max(abs(values[i] - values[j]), delta)
+            # both orders (i, j) and (j, i) of the pair hold the term
+            w = 2.0 * (p - 1) * z ** (p - 2) / math.dist(cells[i], cells[j]) ** expo * h ** (2 * dim)
+            out[ii, ii] += w
+            if omega_mask[j]:
+                out[ii, col[j]] -= w
+    return out
+
+
 def pair_gradient(cells, values, dim, s, p, rows=None):
     """(u_i - u_j)/|x_i - x_j|^(N/p+s) for i in rows (default: every cell)."""
     expo = dim / p + s

@@ -23,6 +23,7 @@ from fraceig.core import energy_kernel, phi_p
 from _oracles import (
     adjoint_both_sides,
     energy_double_sum,
+    hessian_loops,
     kernel_tables,
     lp_sum,
     operator_double_sum,
@@ -249,6 +250,21 @@ class TestApplyOperator:
         rng = np.random.default_rng(13)
         g = apply_operator(random_function(interval16, rng), PARAMS)
         assert np.all(g.values[~interval16.omega_mask] == 0.0)
+
+
+class TestHessian:
+    @pytest.mark.parametrize("name", ["interval8", "box8"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_loop_oracle(self, name, p, request):
+        dom = request.getfixturevalue(name)
+        rng = np.random.default_rng(14)
+        u_om = rng.standard_normal(dom.n_omega)
+        u_om[3] = u_om[1]  # one exactly tied pair meets the floor
+        u = GridFunction.from_omega(dom, u_om)
+        s = 0.4
+        hess = energy_kernel(dom, FracParams(s=s, p=p)).hessian_omega(u_om)
+        oracle = hessian_loops(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
+        np.testing.assert_allclose(hess, oracle, rtol=1e-13, atol=0)
 
 
 class TestPairOperations:

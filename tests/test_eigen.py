@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -189,11 +191,49 @@ class TestFirstEigenpair:
             if pair.residual <= tol:
                 assert pair.stop_reason == "tol"
                 continue
+            # the bordered Newton endgame meets tol at p >= 2
+            assert p < 2.0
             assert pair.stop_reason == "float floor"
             kern = energy_kernel(dom, params)
             u = pair.eigenfunction.omega_values
             b_norm = pair.lam * float(np.linalg.norm(phi_p(u, p))) * kern.hn
             assert pair.residual * b_norm <= kern.gradient_floor(u, b_norm)
+
+    @pytest.mark.parametrize(
+        "name, p, lam",
+        [
+            ("box8", 2.0, 34.71325596075445),
+            ("box8", 3.0, 37.532308126688186),
+            ("box8", 4.0, 40.27407974219294),
+            ("union16", 2.0, 12.322315476290274),
+            ("union16", 3.0, 13.354043686010602),
+            ("union16", 4.0, 14.65953146762867),
+        ],
+    )
+    def test_newton_endgame_pins(self, name, p, lam, request):
+        # values of the inverse-power endgame, which stopped at residual
+        # 5e-8 after 13 to 28 outer iterations
+        dom = request.getfixturevalue(name)
+        params = FracParams(s=0.5, p=p)
+        pair = first_eigenpair(dom, params)
+        assert pair.stop_reason == "tol"
+        assert pair.iterations <= 10
+        assert pair.lam == pytest.approx(lam, rel=1e-12)
+        if p == 2.0:
+            assert pair.lam == pytest.approx(p2_oracle(dom, params).lam, rel=1e-13)
+
+    def test_refused_newton_step_falls_back(self, box8, monkeypatch, caplog):
+        # a Newton step that raises lambda is discarded for the
+        # inverse-power step of the same outer iteration
+        params = FracParams(s=0.5, p=3.0)
+        plain = first_eigenpair(box8, params)
+        monkeypatch.setattr(eigen_mod, "_bordered_newton", lambda kern, u, lam: 2.0 * u)
+        with caplog.at_level(logging.DEBUG, logger="fraceig.eigen"):
+            pair = first_eigenpair(box8, params)
+        assert pair.converged
+        assert pair.lam == pytest.approx(plain.lam, rel=1e-12)
+        refused = [r for r in caplog.records if "bordered Newton step refused" in r.getMessage()]
+        assert refused and all(r.levelno == logging.DEBUG for r in refused)
 
     def test_loose_tol_stops_on_tol(self, interval16):
         pair = first_eigenpair(interval16, FracParams(s=0.5, p=3.0), SolverConfig(tol=1e-6))
