@@ -22,18 +22,26 @@ the gradient already sits at the floor there, the current iterate is
 returned at once, since further damping would only rescale noise.  The
 floor is evaluated only at such trials, so solves that never reach it pay
 nothing.
+
+An iterate whose damped trials are all rejected after the damping has
+drifted from its fresh value is retried once from fresh damping, since a
+float-flat objective can drive the damping to saturation above the floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
+if TYPE_CHECKING:
+    from .core import EnergyKernel
+
 _REG0 = 1e-13
+_MU_FRESH = 1e-8
 _MU_MIN = 1e-14
 _MU_MAX = 1e30
 _RHO_ACCEPT = 1e-4
@@ -80,20 +88,22 @@ def minimize_convex(
 
     hessian(x) returns the dense curvature matrix (already floored against
     exact pair ties); quad is the SPD damping metric.  Returns early when
-    no damped trial improves the objective or contracts the gradient,
-    which signals the float floor of the problem rather than missing
-    optimality.  floor(x), when given, is the gradient norm below which
-    no step at x is resolvable; a trial below the objective's resolution
-    at such an x ends the solve.  converged still means ||grad|| <= gtol.
+    no damped trial from fresh damping improves the objective or contracts
+    the gradient, which signals the float floor of the problem rather than
+    missing optimality.  floor(x), when given, is the gradient norm below
+    which no step at x is resolvable; a trial below the objective's
+    resolution at such an x ends the solve.  converged still means
+    ||grad|| <= gtol.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_grad(x)
     evals = 1
     gnorm = float(np.linalg.norm(g))
-    mu = 1e-8
+    mu = _MU_FRESH
 
     while gnorm > gtol and evals < max_evals:
         h = hessian(x)
+        mu_start = mu
         accepted = False
         x_new, f_new, g_new = x, f, g
         f_slack = f + 4.0 * np.finfo(float).eps * (abs(f) + 1e-300)
@@ -132,10 +142,35 @@ def minimize_convex(
             if evals >= max_evals:
                 break
         if not accepted:
-            # objective is flat below the resolution of any damped step
-            return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
+            # objective is flat below the resolution of any damped step;
+            # from fresh damping a retry would repeat itself exactly
+            if mu_start == _MU_FRESH:
+                return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
+            mu = _MU_FRESH
+            continue
 
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
 
     return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
+
+
+def minimize_energy(
+    kern: EnergyKernel,
+    b: NDArray,
+    x0: NDArray,
+    gtol: float,
+    max_evals: int,
+    floor: Callable[[NDArray], float] | None = None,
+) -> DescentResult:
+    """minimize_convex on (1/p) kern.energy(w) - <b, w>, damped by kern.quad_matrix."""
+    p = kern.params.p
+
+    def value_grad(w: NDArray):
+        val = kern.energy(w) / p - float(np.dot(b, w))
+        grad = kern.grad_omega(w) / p - b
+        return val, grad
+
+    return minimize_convex(
+        value_grad, kern.hessian_omega, kern.quad_matrix, x0, gtol, max_evals, floor
+    )

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from ._reduce import map_blocks, ordered_sum
 from .core import GridFunction, energy_kernel, gagliardo_energy
-from .domain import GridDomain, dilate, unit_ball_volume
+from .domain import GridDomain, _lattice_axes, _lattice_points, dilate, unit_ball_volume
 from .eigen import Eigenpair, first_eigenpair, seminorm_distance
 from .errors import ConvergenceError
 from .params import FracParams, SolverConfig
@@ -132,7 +132,7 @@ def s_sweep(
             return exc.partial
 
     # one independent eigensolve per s: the coarse task that threads pay for
-    with ThreadPoolExecutor(max_workers=cfg.resolved_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         pairs = dict(zip(s_values, pool.map(solve, s_values)))
 
     base_pair = pairs[s_base]
@@ -174,9 +174,6 @@ class ScalingReport:
     lams: list
     errors: list
     passed: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def scaling_check(
@@ -231,9 +228,6 @@ class EquivalenceReport:
     tail: float
     tail_error_bound: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def equivalence_check(
     u: GridFunction,
@@ -276,9 +270,7 @@ def equivalence_check(
     r_quad = quad_radius_factor * R
     lo = np.floor((dom.center - r_quad - dom.origin) / h).astype(np.int64) - 1
     hi = np.ceil((dom.center + r_quad - dom.origin) / h).astype(np.int64) + 1
-    axes = [dom.origin[d] + h * np.arange(lo[d], hi[d] + 1) for d in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = _lattice_points(_lattice_axes(dom.origin, h, lo, hi))
     dc = np.linalg.norm(pts - dom.center, axis=1)
     half = 0.5 * dom.t * R
     shell = (dc > half * (1.0 + 1e-12)) & (dc <= r_quad * (1.0 + 1e-12))
@@ -320,9 +312,6 @@ class TranslationReport:
     ratios: list
     sup_ratio: float
     c_fit: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def dyadic_shifts(dom: GridDomain) -> list[NDArray]:

@@ -275,48 +275,36 @@ class EnergyKernel:
         outer = float(np.sum(self.k_out * (phi_p(u_om, p) - phi_p(v_om, p)) * (u_om - v_om)))
         return self.h2n * (inner + 2.0 * outer)
 
-    def grad_envelope(self, u_om: NDArray) -> float:
-        """l2 norm of the absolute-value weak-gradient assembly.
-
-        Multiplied by machine epsilon this bounds the roundoff floor of a
-        weak-form gradient evaluation; a solver cannot certify residuals
-        below that floor.
-        """
-        p = self.params.p
-
-        def block(lo: int, hi: int) -> NDArray:
-            diff = u_om[lo:hi, None] - u_om[None, :]
-            return np.sum(self.K_oo[lo:hi] * np.abs(diff) ** (p - 1.0), axis=1)
-
-        rows = np.concatenate(map_blocks(block, len(u_om)))
-        rows += np.abs(u_om) ** (p - 1.0) * self.k_out
-        return float(np.linalg.norm(2.0 * self.h2n * rows))
-
     def residual_floor(self, u_om: NDArray) -> float:
         """Achievable floor of the weak-residual norm at u.
 
         Two float effects bound any solver.  Accumulated roundoff scales
-        with eps times the absolute-value assembly.  Value granularity is
-        sharper for p < 2: one last-place change of a cell value moves a
-        pair difference z by about eps*max|u|, whose image under the odd
-        power jumps by (|z|+ulp)^(p-1) - |z|^(p-1); across near-tie pairs
-        (z = 0 in exact arithmetic) this dwarfs linear roundoff.
+        with eps times the absolute-value assembly, the l2 norm of the
+        weak gradient with |z|^(p-1) in place of phi_p(z).  Value
+        granularity is sharper for p < 2: one last-place change of a cell
+        value moves a pair difference z by about eps*max|u|, whose image
+        under the odd power jumps by (|z|+ulp)^(p-1) - |z|^(p-1); across
+        near-tie pairs (z = 0 in exact arithmetic) this dwarfs linear
+        roundoff.  One pass over the pairs serves both.
         """
         p = self.params.p
         eps = np.finfo(float).eps
         scale = float(np.max(np.abs(u_om))) if len(u_om) else 0.0
         delta = eps * scale + 1e-300
 
-        def block(lo: int, hi: int) -> NDArray:
+        def block(lo: int, hi: int) -> tuple[NDArray, NDArray]:
             z = np.abs(u_om[lo:hi, None] - u_om[None, :])
-            jump = (z + delta) ** (p - 1.0) - z ** (p - 1.0)
-            return np.sum(self.K_oo[lo:hi] * jump, axis=1)
+            zp = z ** (p - 1.0)
+            k = self.K_oo[lo:hi]
+            return np.sum(k * ((z + delta) ** (p - 1.0) - zp), axis=1), np.sum(k * zp, axis=1)
 
-        rows = np.concatenate(map_blocks(block, len(u_om)))
+        jumps, envs = zip(*map_blocks(block, len(u_om)))
         zi = np.abs(u_om)
-        rows += ((zi + delta) ** (p - 1.0) - zi ** (p - 1.0)) * self.k_out
-        granularity = float(np.linalg.norm(2.0 * self.h2n * rows))
-        return max(granularity, eps * self.grad_envelope(u_om))
+        zi_p = zi ** (p - 1.0)
+        jump = np.concatenate(jumps) + ((zi + delta) ** (p - 1.0) - zi_p) * self.k_out
+        env = np.concatenate(envs) + zi_p * self.k_out
+        granularity = float(np.linalg.norm(2.0 * self.h2n * jump))
+        return max(granularity, eps * float(np.linalg.norm(2.0 * self.h2n * env)))
 
     def gradient_floor(self, w: NDArray, b_norm: float) -> float:
         """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.

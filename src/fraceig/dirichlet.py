@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._descent import minimize_convex
+from ._descent import minimize_energy
 from .core import GridFunction, PairFunction, energy_kernel, nonlocal_divergence
 from .domain import GridDomain
 from .errors import ConvergenceError
@@ -80,54 +80,33 @@ def solve_dirichlet(
     number, and pair-difference granularity bounds the gradient itself).
     start overrides the default scale-matched starting point (the
     minimizer is unique, so any start reaches it).  cfg.max_iter_inner
-    bounds the objective evaluations of all inner restarts together;
-    ConvergenceError (carrying the last iterate) is raised once they are
-    spent or a run cannot move the iterate.
+    bounds the objective evaluations of the single inner solve;
+    ConvergenceError (carrying the last iterate) is raised when that solve
+    ends above the float floor.
     """
-    dom, params = prob.host, prob.params
-    kern = energy_kernel(dom, params)
-    p, hn = params.p, kern.hn
-    b = prob.effective_datum() * hn
-
-    def value_grad(w: NDArray):
-        val = kern.energy(w) / p - float(np.dot(b, w))
-        grad = kern.grad_omega(w) / p - b
-        return val, grad
-
-    gtol = cfg.inner_tol * max(float(np.linalg.norm(b)), 1e-300)
+    dom = prob.host
+    kern = energy_kernel(dom, prob.params)
+    b = prob.effective_datum() * kern.hn
+    b_norm = float(np.linalg.norm(b))
+    gtol = cfg.inner_tol * max(b_norm, 1e-300)
     if start is not None:
         if start.host is not dom:
             raise ValueError("start function lives on a different host")
         x0 = start.omega_values
     else:
         x0 = kern.scaled_start(b)
-    x, spent = x0, 0
-    while True:
-        res = minimize_convex(
-            value_grad, kern.hessian_omega, kern.quad_matrix,
-            x, gtol, cfg.max_iter_inner - spent,
+    res = minimize_energy(kern, b, x0, gtol, cfg.max_iter_inner)
+    # a stalled gradient at the float floor (assembly roundoff,
+    # pair-difference granularity, or the relative polishing limit of the
+    # damped-Newton endgame) is not missing optimality; the floor is applied
+    # only after the run, since the energy identity and first-order checks
+    # need polish below it where it is reachable
+    if not res.converged and res.grad_norm > kern.gradient_floor(res.x, b_norm):
+        raise ConvergenceError(
+            f"Dirichlet solve stalled at gradient norm {res.grad_norm:.3e} "
+            f"after {res.evaluations} evaluations",
+            partial=GridFunction.from_omega(dom, res.x),
         )
-        spent += res.evaluations
-        if res.converged:
-            break
-        # a stalled gradient at the float floor (assembly roundoff,
-        # pair-difference granularity, or the relative polishing limit of
-        # the damped-Newton endgame) is not missing optimality; the floor
-        # is applied only after a run returns, since the energy identity
-        # and first-order checks need polish below it where it is reachable
-        if res.grad_norm <= max(gtol, kern.gradient_floor(res.x, float(np.linalg.norm(b)))):
-            break
-        # above the floor, a float-flat objective rejects every damped
-        # trial until the damping saturates, so restart with fresh damping
-        # from the latest iterate; a run that left its start unchanged
-        # would repeat itself exactly
-        if spent >= cfg.max_iter_inner or np.array_equal(res.x, x):
-            raise ConvergenceError(
-                f"Dirichlet solve stalled at gradient norm {res.grad_norm:.3e} "
-                f"after {spent} evaluations",
-                partial=GridFunction.from_omega(dom, res.x),
-            )
-        x = res.x
     return GridFunction.from_omega(dom, res.x)
 
 

@@ -223,6 +223,18 @@ def _circle_through(p1, p2, p3):
     return c, float(np.linalg.norm(p1 - c))
 
 
+def _hull_vertices(points: NDArray) -> NDArray:
+    """Convex hull vertices of a 2-D point set; all points when few or collinear."""
+    if len(points) > 3:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            return points[ConvexHull(points).vertices]
+        except QhullError:  # collinear point sets
+            pass
+    return points
+
+
 def _enclosing_ball(points: NDArray) -> tuple[NDArray, float]:
     """Exact smallest enclosing ball of a finite point set (dim 1 or 2)."""
     dim = points.shape[1]
@@ -231,16 +243,7 @@ def _enclosing_ball(points: NDArray) -> tuple[NDArray, float]:
         return np.array([0.5 * (lo + hi)]), 0.5 * (hi - lo)
 
     # reduce to convex hull vertices, then scan support pairs and triples
-    if len(points) > 3:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = points[ConvexHull(points).vertices]
-        except QhullError:  # collinear point sets
-            hull = points
-    else:
-        hull = points
-    hull = np.unique(hull, axis=0)
+    hull = np.unique(_hull_vertices(points), axis=0)
 
     best_c, best_r = None, math.inf
     slack = 1.0 + 1e-12
@@ -269,13 +272,7 @@ def _set_diameter(points: NDArray) -> float:
         return 0.0
     if points.shape[1] == 1:
         return float(points[:, 0].max() - points[:, 0].min())
-    if len(points) > 3:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            points = points[ConvexHull(points).vertices]
-        except QhullError:
-            pass
+    points = _hull_vertices(points)
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
 

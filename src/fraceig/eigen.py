@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from ._descent import minimize_convex
+from ._descent import minimize_energy
 from .core import EnergyKernel, GridFunction, energy_kernel, gagliardo_energy, lp_norm, phi_p
 from .domain import GridDomain
 from .errors import ConvergenceError
@@ -112,20 +112,14 @@ def _inverse_power_step(
     gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
     b_norm = float(np.linalg.norm(b))
 
-    def value_grad(w: NDArray):
-        val = kern.energy(w) / p - float(np.dot(b, w))
-        grad = kern.grad_omega(w) / p - b
-        return val, grad
-
     def floor(w: NDArray) -> float:
         return kern.gradient_floor(w, b_norm)
 
     # the indicator start carries exact pair ties; the quadratic-form
     # solve gives a smooth first inner iterate instead
     x0 = kern.scaled_start(b) if first else u_om
-    inner = minimize_convex(
-        value_grad, kern.hessian_omega, kern.quad_matrix,
-        x0, gtol_rel * max(b_norm, 1e-300), cfg.max_iter_inner, floor,
+    inner = minimize_energy(
+        kern, b, x0, gtol_rel * max(b_norm, 1e-300), cfg.max_iter_inner, floor
     )
     u_new = _normalized(np.abs(inner.x), p, hn)
     if u_new is None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 
@@ -50,8 +49,7 @@ class SolverConfig:
     and the weak residual; inner_tol controls the convex inner solves.
     seed feeds every randomized property check; threads sets the worker
     count of s_sweep (one eigensolve per s) and of the far-field
-    quadrature of the equivalence suite, and never changes a result (the
-    environment variable FRACEIG_THREADS, when set, wins over this field).
+    quadrature of the equivalence suite, and never changes a result.
     """
 
     tol: float = 1e-8
@@ -70,12 +68,3 @@ class SolverConfig:
             raise ValueError("iteration limits must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-
-    def resolved_threads(self) -> int:
-        env = os.environ.get("FRACEIG_THREADS")
-        if env is not None:
-            n = int(env)
-            if n < 1:
-                raise ValueError("FRACEIG_THREADS must be at least 1")
-            return n
-        return self.threads

@@ -65,7 +65,8 @@ def _header(host: GridDomain) -> dict:
 def _check_header(head: dict, host: GridDomain) -> None:
     if int(head["dim"]) != host.dim or list(head["counts"]) != list(host.counts):
         raise ValueError("grid-function header does not match the host lattice")
-    if abs(float(head["h"]) - host.h) > 1e-12 * host.h or float(head["t"]) != host.t:
+    # written as not (... <= ...) so that a NaN h fails the test
+    if not abs(float(head["h"]) - host.h) <= 1e-12 * host.h or float(head["t"]) != host.t:
         raise ValueError("grid-function header does not match the host geometry")
 
 

@@ -264,11 +264,3 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out.with_suffix(".json").read_text())
         assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_env_threads_overrides_flag(self, monkeypatch):
-        from fraceig import SolverConfig
-
-        monkeypatch.setenv("FRACEIG_THREADS", "5")
-        assert SolverConfig(threads=2).resolved_threads() == 5
-        monkeypatch.delenv("FRACEIG_THREADS")
-        assert SolverConfig(threads=2).resolved_threads() == 2

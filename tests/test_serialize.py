@@ -68,6 +68,26 @@ def test_grid_function_header_mismatch(tmp_path, interval16, interval8):
         load_grid_function(path, interval8)
 
 
+def test_grid_function_nan_h_rejected(tmp_path, interval16):
+    u = GridFunction.indicator(interval16)
+    path = tmp_path / "u.json"
+    save_grid_function(u, path)
+    data = json.loads(path.read_text())
+    data["h"] = float("nan")
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="geometry"):
+        load_grid_function(path, interval16)
+
+    path = tmp_path / "u.bin"
+    save_grid_function(u, path, binary=True)
+    head, values = path.read_bytes().split(b"\n", 1)
+    head = json.loads(head)
+    head["h"] = float("nan")
+    path.write_bytes(json.dumps(head).encode() + b"\n" + values)
+    with pytest.raises(ValueError, match="geometry"):
+        load_grid_function(path, interval16)
+
+
 def test_eigenpair_and_trace(tmp_path, interval16):
     pair = first_eigenpair(interval16, P2)
     path = tmp_path / "pair.json"
