@@ -6,7 +6,8 @@ stalls far above the required 1e-10 optimality on these kernels, and an
 undamped Newton step oscillates across near-tie pairs for p < 2 (the pair
 weight |w_i - w_j|^(p-2) makes the gradient concave there), so steps solve
 the Levenberg-damped system (H + mu Q) d = g with Q the kernel's fixed SPD
-quadratic form.  The damping follows the usual gain-ratio control: it
+quadratic form (the p = 2 Hessian, built once per inner solve by
+minimize_energy).  The damping follows the usual gain-ratio control: it
 grows on rejected or poorly modeled steps and decays only when the local
 quadratic model tracks the objective.  Each damped system is
 Jacobi-equilibrated and polished by one iterative-refinement pass, since
@@ -59,12 +60,15 @@ class DescentResult:
 
 def _solve_damped(h: NDArray, quad: NDArray, g: NDArray, mu: float) -> NDArray | None:
     """Equilibrated, refined solve of (h + (mu + reg) quad) d = g."""
-    m = h + (mu + _REG0) * quad
+    # two n x n buffers: m, and ms in the Fortran order LAPACK factors in place
+    m = (mu + _REG0) * quad
+    m += h
     dd = np.sqrt(np.abs(np.diagonal(m)))
     dd[dd == 0.0] = 1.0
-    ms = m / dd[:, None] / dd[None, :]
+    ms = np.divide(m, dd[:, None], order="F")
+    ms /= dd[None, :]
     try:
-        factor = scipy.linalg.cho_factor(ms, check_finite=False)
+        factor = scipy.linalg.cho_factor(ms, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None
     d = scipy.linalg.cho_solve(factor, g / dd, check_finite=False) / dd
@@ -158,19 +162,29 @@ def minimize_convex(
 def minimize_energy(
     kern: EnergyKernel,
     b: NDArray,
-    x0: NDArray,
+    x0: NDArray | None,
     gtol: float,
     max_evals: int,
     floor: Callable[[NDArray], float] | None = None,
 ) -> DescentResult:
-    """minimize_convex on (1/p) kern.energy(w) - <b, w>, damped by kern.quad_matrix."""
+    """minimize_convex on (1/p) kern.energy(w) - <b, w>, damped by kern.quad_matrix.
+
+    Q is built once per call.  With x0 None the solve starts from the
+    tie-free solution v of Q v = b, scaled to the objective's exact
+    minimizer along v, (<b, v>/energy(v))^(1/(p-1)) v: at a much smaller
+    scale a p < 2 energy's curvature overestimates wildly and Newton crawls.
+    """
     p = kern.params.p
+    quad = kern.quad_matrix
+    if x0 is None:
+        x0 = scipy.linalg.cho_solve(scipy.linalg.cho_factor(quad), b)
+        e_v, bv = kern.energy(x0), float(np.dot(b, x0))
+        if e_v > 0.0 and bv > 0.0:
+            x0 = (bv / e_v) ** (1.0 / (p - 1.0)) * x0
 
     def value_grad(w: NDArray):
         val = kern.energy(w) / p - float(np.dot(b, w))
         grad = kern.grad_omega(w) / p - b
         return val, grad
 
-    return minimize_convex(
-        value_grad, kern.hessian_omega, kern.quad_matrix, x0, gtol, max_evals, floor
-    )
+    return minimize_convex(value_grad, kern.hessian_omega, quad, x0, gtol, max_evals, floor)

@@ -19,13 +19,9 @@ T = TypeVar("T")
 BLOCK_ROWS = 128
 
 
-def row_blocks(n_rows: int, block: int = BLOCK_ROWS) -> list[tuple[int, int]]:
-    return [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
-
-
 def map_blocks(fn: Callable[[int, int], T], n_rows: int, threads: int = 1) -> list[T]:
     """Apply fn(lo, hi) over fixed row blocks; results in block order."""
-    blocks = row_blocks(n_rows)
+    blocks = [(lo, min(lo + BLOCK_ROWS, n_rows)) for lo in range(0, n_rows, BLOCK_ROWS)]
     if threads <= 1 or len(blocks) <= 1:
         return [fn(lo, hi) for lo, hi in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -113,8 +113,8 @@ def _parse_s_values(args) -> list[float]:
         values = [float(v) for v in args.s_list.split(",") if v.strip()]
     else:
         lo_s, hi_s, step = (float(v) for v in args.s_range.split(":"))
-        if step <= 0 or hi_s < lo_s:
-            raise ValueError(f"bad s range {args.s_range!r}")
+        if not (np.isfinite([lo_s, hi_s, step]).all() and step > 0 and hi_s >= lo_s):
+            raise ValueError(f"bad s range {args.s_range!r}: needs finite start <= stop, step > 0")
         count = int(round((hi_s - lo_s) / step)) + 1
         values = [round(lo_s + i * step, 12) for i in range(count)]
     if not values:

@@ -170,69 +170,50 @@ class EnergyKernel:
         self.K_oo = dom.pair_power(om, om, -self.exponent, "the energy kernel's Omega x Omega table")
         self.k_out = dom.pair_power_sums(om, dom.other_indices, -self.exponent)
 
+    def _laplacian(
+        self, weights: NDArray, exterior: float | NDArray, scale: float, out: NDArray | None
+    ) -> NDArray:
+        """scale * (diag(row sums + exterior * k_out) - weights), written to out.
+
+        weights holds the n x n pair weights on the free cells (out may be
+        weights itself); exterior weighs each cell's kernel mass toward the
+        exterior.
+        """
+        diag = np.sum(weights, axis=1) + exterior * self.k_out
+        out = np.multiply(weights, -scale, out=out)
+        out[np.diag_indices_from(out)] = diag * scale
+        return out
+
     @property
     def quad_matrix(self) -> NDArray:
         """SPD quadratic form of the kernel weights on the free cells.
 
         Q = 2 h^(2N) (diag(row sums + exterior sums) - K); w^T Q w is the
-        p=2-type energy with this kernel's exponent, and Q preconditions
-        the descent solvers.
+        p=2-type energy with this kernel's exponent, and Q damps the
+        descent solves and gives their start.  Built anew on each access,
+        so the kernel keeps no n x n table beyond K_oo.
         """
-        q = getattr(self, "_quad_matrix", None)
-        if q is None:
-            diag = np.sum(self.K_oo, axis=1) + self.k_out
-            q = -self.K_oo.copy()
-            q[np.diag_indices_from(q)] = diag
-            q *= 2.0 * self.h2n
-            self._quad_matrix = q
-        return q
+        return self._laplacian(self.K_oo, 1.0, 2.0 * self.h2n, None)
 
-    def quad_start(self, b: NDArray) -> NDArray:
-        """Solve Q x = b; a smooth, tie-free starting point for the solvers."""
-        import scipy.linalg
-
-        factor = getattr(self, "_quad_factor", None)
-        if factor is None:
-            factor = scipy.linalg.cho_factor(self.quad_matrix)
-            self._quad_factor = factor
-        return scipy.linalg.cho_solve(factor, b)
-
-    def scaled_start(self, b: NDArray) -> NDArray:
-        """quad_start rescaled to the exact 1-D minimizer of the objective.
-
-        Along a fixed direction v the objective (1/p) energy(c v) - c <b, v>
-        is minimized at c = (<b, v>/energy(v))^(1/(p-1)); starting at that
-        scale keeps Newton's local model relevant (for p < 2 the curvature
-        at a much smaller scale overestimates wildly and the solve crawls).
-        """
-        v = self.quad_start(b)
-        e_v = self.energy(v)
-        bv = float(np.dot(b, v))
-        if e_v > 0.0 and bv > 0.0:
-            return (bv / e_v) ** (1.0 / (self.params.p - 1.0)) * v
-        return v
-
-    def hessian_omega(self, w: NDArray) -> NDArray:
+    def hessian_omega(self, w: NDArray, out: NDArray | None = None) -> NDArray:
         """Dense curvature of (1/p) energy at w, pair ties floored.
 
         A weighted graph Laplacian with weights (p-1)|w_i - w_j|^(p-2) K_ij;
         |.| is floored at a relative tiny so exact ties stay finite.  Equals
-        quad_matrix when p = 2.
+        quad_matrix when p = 2.  Written into out (an n x n array or view)
+        when given.
         """
         p = self.params.p
         scale = float(np.max(np.abs(w))) if len(w) else 0.0
         delta = 1e-14 * max(scale, 1.0)
         # one n x n buffer: difference, tie floor, weight, then the matrix
-        h = np.subtract.outer(w, w)
+        h = np.subtract.outer(w, w, out=out)
         np.abs(h, out=h)
         np.maximum(h, delta, out=h)
         h **= p - 2.0
         h *= self.K_oo
-        diag = np.sum(h, axis=1) + np.maximum(np.abs(w), delta) ** (p - 2.0) * self.k_out
-        np.negative(h, out=h)
-        h[np.diag_indices_from(h)] = diag
-        h *= 2.0 * (p - 1.0) * self.h2n
-        return h
+        exterior = np.maximum(np.abs(w), delta) ** (p - 2.0)
+        return self._laplacian(h, exterior, 2.0 * (p - 1.0) * self.h2n, h)
 
     # -- scalar reductions ------------------------------------------------
 

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -145,40 +145,55 @@ class _MaskShape:
         return out
 
 
+as_floats = functools.partial(np.asarray, dtype=float)
+
+
+def json_field(d: dict, key: str, convert: Callable = float, default=None):
+    """convert(d[key]), or convert(default) for an absent key when a default
+    is given; a value of the wrong type raises ValueError naming the field."""
+    value = d[key] if default is None else d.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {key!r} has the wrong type or value: {exc}") from None
+
+
 def _parse_shape(d: dict, dim: int, h: float):
+    if not isinstance(d, dict):
+        raise ValueError(f"a shape must be a JSON object, got {type(d).__name__}")
     kind = d.get("type")
     if kind == "interval":
         if dim != 1:
             raise ValueError("interval shapes require dim=1")
-        a, b = float(d["a"]), float(d["b"])
+        a, b = json_field(d, "a"), json_field(d, "b")
         if not b > a:
             raise ValueError(f"empty interval ({a},{b})")
         return _Interval(a, b)
     if kind == "box":
-        lo = np.asarray(d["min"], dtype=float)
-        hi = np.asarray(d["max"], dtype=float)
+        lo = json_field(d, "min", as_floats)
+        hi = json_field(d, "max", as_floats)
         if lo.shape != (dim,) or hi.shape != (dim,):
             raise ValueError("box bounds must match the domain dimension")
         if not np.all(hi > lo):
             raise ValueError("box has empty extent")
         return _Box(lo, hi)
     if kind == "ball":
-        c = np.asarray(d["center"], dtype=float)
-        r = float(d["radius"])
+        c = json_field(d, "center", as_floats)
+        r = json_field(d, "radius")
         if c.shape != (dim,):
             raise ValueError("ball center must match the domain dimension")
         if not r > 0:
             raise ValueError("ball radius must be positive")
         return _Ball(c, r)
     if kind == "union":
-        parts = tuple(_parse_shape(p, dim, h) for p in d["parts"])
+        parts = tuple(_parse_shape(p, dim, h) for p in json_field(d, "parts", list))
         if not parts:
             raise ValueError("union of no parts")
         return _UnionShape(parts)
     if kind == "mask":
-        origin = np.asarray(d["origin"], dtype=float)
-        counts = tuple(int(c) for c in d["counts"])
-        cells = np.asarray(d["cells"], dtype=np.int8)
+        origin = json_field(d, "origin", as_floats)
+        counts = json_field(d, "counts", lambda v: tuple(int(c) for c in v))
+        cells = json_field(d, "cells", lambda v: np.asarray(v, dtype=np.int8))
         if origin.shape != (dim,) or len(counts) != dim:
             raise ValueError("mask origin/counts must match the domain dimension")
         if cells.size != int(np.prod(counts)):
@@ -203,7 +218,9 @@ class DomainSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
-        return cls(dim=int(d["dim"]), h=float(d["h"]), shape=dict(d["shape"]))
+        return cls(
+            dim=json_field(d, "dim", int), h=json_field(d, "h"), shape=json_field(d, "shape", dict)
+        )
 
 
 # ---------------------------------------------------------------------------

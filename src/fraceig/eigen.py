@@ -115,11 +115,11 @@ def _inverse_power_step(
     def floor(w: NDArray) -> float:
         return kern.gradient_floor(w, b_norm)
 
-    # the indicator start carries exact pair ties; the quadratic-form
-    # solve gives a smooth first inner iterate instead
-    x0 = kern.scaled_start(b) if first else u_om
+    # the indicator start carries exact pair ties; minimize_energy's
+    # quadratic-form start gives a smooth first inner iterate instead
     inner = minimize_energy(
-        kern, b, x0, gtol_rel * max(b_norm, 1e-300), cfg.max_iter_inner, floor
+        kern, b, None if first else u_om, gtol_rel * max(b_norm, 1e-300),
+        cfg.max_iter_inner, floor,
     )
     u_new = _normalized(np.abs(inner.x), p, hn)
     if u_new is None:
@@ -139,9 +139,10 @@ def _bordered_newton(kern: EnergyKernel, u_om: NDArray, lam: float) -> NDArray |
     p, hn = kern.params.p, kern.hn
     n = len(u_om)
     c = phi_p(u_om, p) * hn
-    # one Fortran-order buffer, factorized in place
-    jac = np.empty((n + 1, n + 1), order="F")
-    jac[:n, :n] = kern.hessian_omega(u_om)
+    # one buffer: the Hessian fills its leading block, and the exactly
+    # symmetric jac's transpose is the Fortran array LAPACK factors in place
+    jac = np.empty((n + 1, n + 1))
+    kern.hessian_omega(u_om, out=jac[:n, :n])
     diag = np.arange(n)
     jac[diag, diag] -= lam * (p - 1.0) * np.abs(u_om) ** (p - 2.0) * hn
     jac[:n, n] = -c
@@ -152,7 +153,7 @@ def _bordered_newton(kern: EnergyKernel, u_om: NDArray, lam: float) -> NDArray |
     rhs[n] = (float(np.sum(np.abs(u_om) ** p)) * hn - 1.0) / p
     try:
         delta = scipy.linalg.solve(
-            jac, rhs, assume_a="sym", overwrite_a=True, check_finite=False
+            jac.T, rhs, assume_a="sym", overwrite_a=True, check_finite=False
         )
     except scipy.linalg.LinAlgError:
         return None

@@ -37,9 +37,6 @@ class FracParams:
         """Conjugate exponent, 1/p + 1/q = 1."""
         return self.p / (self.p - 1.0)
 
-    def with_s(self, s: float) -> "FracParams":
-        return FracParams(s=s, p=self.p, t=self.t)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import SweepReport
 from .core import GridFunction, PairFunction
 from .dirichlet import DirichletProblem
-from .domain import DomainSpec, GridDomain, check_dense_pairs
+from .domain import DomainSpec, GridDomain, as_floats, check_dense_pairs, json_field
 from .eigen import Eigenpair
 from .params import FracParams
 
@@ -125,19 +125,19 @@ def save_trace_csv(pair: Eigenpair, path) -> None:
 
 def load_problem(path, host: GridDomain) -> tuple[DirichletProblem, FracParams]:
     data = _load_object(path, "problem file")
-    params = FracParams(s=float(data["s"]), p=float(data["p"]), t=float(data.get("t", 4.0)))
-    f_raw = data["f"]
-    if isinstance(f_raw, (int, float)):
-        f = np.full(host.n_omega, float(f_raw))
-    else:
-        f = np.asarray(f_raw, dtype=float)
+    params = FracParams(
+        s=json_field(data, "s"), p=json_field(data, "p"), t=json_field(data, "t", default=4.0)
+    )
+    f = json_field(data, "f", as_floats)
+    if f.ndim == 0:  # one value for every Omega cell
+        f = np.full(host.n_omega, float(f))
     pair_raw = data.get("F", "none")
     if pair_raw is None or pair_raw == "none":
         pair = None
     else:
         # refuse an oversized pair datum before converting the parsed list
         check_dense_pairs(host.n_cells, host.n_cells, "the problem file's pair datum F")
-        pair = PairFunction(np.asarray(pair_raw, dtype=float), host)
+        pair = PairFunction(json_field(data, "F", as_floats), host)
     return DirichletProblem(host=host, params=params, f=f, F=pair), params
 
 

@@ -34,19 +34,6 @@ from .params import FracParams, SolverConfig
 
 __all__ = ["SUITES", "CheckResult", "run_suite", "report_dict"]
 
-SUITES = (
-    "poincare",
-    "clarkson",
-    "adjoint",
-    "monotone",
-    "comparison",
-    "scaling",
-    "equivalence",
-    "translation",
-    "holder",
-)
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -235,6 +222,7 @@ _RUNNERS = {
     "translation": _suite_translation,
     "holder": _suite_holder,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(

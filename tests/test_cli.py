@@ -107,6 +107,15 @@ class TestSolve:
         assert code == 2
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [{"s": None}, {"t": None}])
+    def test_problem_field_of_wrong_type_exits_2(self, domain_file, tmp_path, capsys, field):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"f": 1.0, "s": 0.5, "p": 2.0, **field}))
+        code = run(["solve", "--domain", domain_file, "--problem", prob,
+                    "--out", tmp_path / "x.json"])
+        assert code == 2
+        assert f"field {next(iter(field))!r}" in capsys.readouterr().err
+
     def test_pair_datum_beyond_dense_budget_exits_2(self, tmp_path, capsys):
         # the 2D box at h=1/32 has 25,276 ball cells, over the 8,192 that one
         # dense pair array allows; the guard fires before the list converts
@@ -160,6 +169,13 @@ class TestSweep:
         assert code == 4
         assert "violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s_range", ["0.1:inf:0.1", "-inf:0.5:0.1"])
+    def test_non_finite_s_range_exits_2(self, domain_file, tmp_path, capsys, s_range):
+        code = run(["sweep", "--domain", domain_file, "--p", 2, f"--s-range={s_range}",
+                    "--s-base", 0.1, "--out", tmp_path / "s"])
+        assert code == 2
+        assert "bad s range" in capsys.readouterr().err
+
     def test_needs_exactly_one_s_source(self, domain_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--domain", domain_file, "--p", 2, "--s-base", 0.3])
@@ -194,6 +210,23 @@ class TestPoincare:
         code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
         assert code == 2
         assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, spec",
+        [
+            ("h", {"h": None}),
+            ("h", {"h": [0.1]}),
+            ("shape", {"shape": 5}),
+            ("b", {"shape": {"type": "interval", "a": 0.0, "b": None}}),
+        ],
+    )
+    def test_domain_field_of_wrong_type_exits_2(self, tmp_path, capsys, field, spec):
+        path = tmp_path / "domain.json"
+        good = {"dim": 1, "h": 1 / 16, "shape": {"type": "interval", "a": 0.0, "b": 1.0}}
+        path.write_text(json.dumps({**good, **spec}))
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
+        assert code == 2
+        assert f"field {field!r}" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraceig import (
+    DirichletProblem,
     DomainSpec,
     FracParams,
     GridFunction,
@@ -11,12 +12,14 @@ from fraceig import (
     apply_operator,
     build_domain,
     dilate,
+    first_eigenpair,
     gagliardo_energy,
     lp_norm,
     nonlocal_divergence,
     nonlocal_gradient,
     poincare_constant,
     rayleigh_quotient,
+    solve_dirichlet,
 )
 from fraceig.core import energy_kernel, phi_p
 
@@ -265,6 +268,35 @@ class TestHessian:
         hess = energy_kernel(dom, FracParams(s=s, p=p)).hessian_omega(u_om)
         oracle = hessian_loops(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
         np.testing.assert_allclose(hess, oracle, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_writes_into_out_view(self, box8, p):
+        rng = np.random.default_rng(15)
+        w = rng.standard_normal(box8.n_omega)
+        w[3] = w[1]
+        kern = energy_kernel(box8, FracParams(s=0.4, p=p))
+        n = box8.n_omega
+        buf = np.full((n + 1, n + 1), np.nan)
+        view = buf[:n, :n]
+        assert kern.hessian_omega(w, out=view) is view
+        assert view.tobytes() == kern.hessian_omega(w).tobytes()
+        assert np.isnan(buf[n]).all() and np.isnan(buf[:, n]).all()
+
+    def test_quad_matrix_is_p2_hessian(self, box8):
+        w = np.random.default_rng(16).standard_normal(box8.n_omega)
+        kern = energy_kernel(box8, FracParams(s=0.4, p=2.0))
+        assert kern.quad_matrix.tobytes() == kern.hessian_omega(w).tobytes()
+
+    def test_kernel_keeps_no_square_table_but_k_oo(self, box8):
+        params = FracParams(s=0.45, p=1.5)
+        first_eigenpair(box8, params)
+        solve_dirichlet(DirichletProblem(box8, params, np.ones(box8.n_omega)))
+        kern = energy_kernel(box8, params)
+        big = [
+            name for name, value in vars(kern).items()
+            if isinstance(value, np.ndarray) and value.size > box8.n_omega
+        ]
+        assert big == ["K_oo"]
 
 
 class TestPairOperations:
