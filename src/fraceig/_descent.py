@@ -12,7 +12,11 @@ grows on rejected or poorly modeled steps and decays only when the local
 quadratic model tracks the objective.  Each damped system is
 Jacobi-equilibrated and polished by one iterative-refinement pass, since
 near-tie pairs drive its condition number and a plain Cholesky solve would
-lose exactly the digits the inner tolerance asks for.  Near the minimum
+lose exactly the digits the inner tolerance asks for; each trial writes
+the damped matrix into one n x n buffer that LAPACK factors in place, and
+takes the refinement residual from H and Q themselves.  minimize_energy
+evaluates the objective and its gradient in one pass over the kernel
+pairs (EnergyKernel.energy_grad).  Near the minimum
 the objective saturates in float before tight gradient targets are met;
 steps that contract the gradient are then accepted on that evidence.
 
@@ -59,20 +63,25 @@ class DescentResult:
 
 
 def _solve_damped(h: NDArray, quad: NDArray, g: NDArray, mu: float) -> NDArray | None:
-    """Equilibrated, refined solve of (h + (mu + reg) quad) d = g."""
-    # two n x n buffers: m, and ms in the Fortran order LAPACK factors in place
-    m = (mu + _REG0) * quad
-    m += h
-    dd = np.sqrt(np.abs(np.diagonal(m)))
+    """Equilibrated, refined solve of (h + (mu + reg) quad) d = g; h and quad are kept."""
+    c = mu + _REG0
+    # one n x n buffer, equilibrated in place; the matrix is exactly
+    # symmetric, so its transpose is the Fortran array LAPACK factors in
+    # place (scaling columns first puts row-then-column scaled entries in
+    # the upper triangle the factorization reads)
+    ms = np.multiply(quad, c)
+    ms += h
+    dd = np.sqrt(np.abs(np.diagonal(ms)))
     dd[dd == 0.0] = 1.0
-    ms = np.divide(m, dd[:, None], order="F")
     ms /= dd[None, :]
+    ms /= dd[:, None]
     try:
-        factor = scipy.linalg.cho_factor(ms, overwrite_a=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(ms.T, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None
     d = scipy.linalg.cho_solve(factor, g / dd, check_finite=False) / dd
-    r = g - m @ d
+    r = g - h @ d
+    r -= c * (quad @ d)
     d += scipy.linalg.cho_solve(factor, r / dd, check_finite=False) / dd
     if not np.all(np.isfinite(d)):
         return None
@@ -183,8 +192,7 @@ def minimize_energy(
             x0 = (bv / e_v) ** (1.0 / (p - 1.0)) * x0
 
     def value_grad(w: NDArray):
-        val = kern.energy(w) / p - float(np.dot(b, w))
-        grad = kern.grad_omega(w) / p - b
-        return val, grad
+        energy, grad = kern.energy_grad(w)
+        return energy / p - float(np.dot(b, w)), grad / p - b
 
     return minimize_convex(value_grad, kern.hessian_omega, quad, x0, gtol, max_evals, floor)

@@ -39,7 +39,7 @@ _REL_POLISH_FLOOR = 1e-7
 
 def phi_p(z: NDArray, p: float) -> NDArray:
     """Odd power |z|^(p-2) z, continuously extended by 0 at z = 0."""
-    return np.abs(z) ** (p - 1.0) * np.sign(z)
+    return np.copysign(np.abs(z) ** (p - 1.0), z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +152,9 @@ class EnergyKernel:
     Holds the Omega-Omega weight block K_ij = |x_i - x_j|^(-(N+sp)) and the
     per-Omega-cell row sum of weights toward exterior cells.  Energies,
     gradients and pairings evaluate through fixed-order blocked
-    reductions, so their results are reproducible bit for bit.
+    reductions, so their results are reproducible bit for bit.  The
+    energy and its gradient come from one pass over the pairs
+    (energy_grad); energy and grad_omega each return one part of it.
     """
 
     def __init__(self, dom: GridDomain, params: FracParams):
@@ -199,13 +201,13 @@ class EnergyKernel:
         """Dense curvature of (1/p) energy at w, pair ties floored.
 
         A weighted graph Laplacian with weights (p-1)|w_i - w_j|^(p-2) K_ij;
-        |.| is floored at a relative tiny so exact ties stay finite.  Equals
-        quad_matrix when p = 2.  Written into out (an n x n array or view)
-        when given.
+        |.| is floored at 1e-14 max|w| (1e-14 for w = 0) so exact ties stay
+        finite at every scale of w.  Equals quad_matrix when p = 2.  Written
+        into out (an n x n array or view) when given.
         """
         p = self.params.p
         scale = float(np.max(np.abs(w))) if len(w) else 0.0
-        delta = 1e-14 * max(scale, 1.0)
+        delta = 1e-14 * (scale if scale > 0.0 else 1.0)
         # one n x n buffer: difference, tie floor, weight, then the matrix
         h = np.subtract.outer(w, w, out=out)
         np.abs(h, out=h)
@@ -217,28 +219,36 @@ class EnergyKernel:
 
     # -- scalar reductions ------------------------------------------------
 
-    def energy(self, u_om: NDArray) -> float:
+    def energy_grad(self, u_om: NDArray) -> tuple[float, NDArray]:
+        """Energy and its gradient with respect to the Omega values, in one pass.
+
+        Each block forms z = u_i - u_j and |z|^(p-1) once; the weighted odd
+        power K phi_p(z) gives the gradient rows, and its pairing with z the
+        pair energy K |z|^p.
+        """
         p = self.params.p
 
-        def block(lo: int, hi: int) -> float:
-            diff = u_om[lo:hi, None] - u_om[None, :]
-            return float(np.sum(self.K_oo[lo:hi] * np.abs(diff) ** p))
+        def block(lo: int, hi: int) -> tuple[float, NDArray]:
+            z = u_om[lo:hi, None] - u_om[None, :]
+            kphi = phi_p(z, p)
+            kphi *= self.K_oo[lo:hi]
+            rows = np.sum(kphi, axis=1)
+            kphi *= z
+            return float(np.sum(kphi)), rows
 
-        inner = ordered_sum(map_blocks(block, len(u_om)))
-        outer = float(np.sum(self.k_out * np.abs(u_om) ** p))
-        return self.h2n * (inner + 2.0 * outer)
+        inner, blocks = zip(*map_blocks(block, len(u_om)))
+        kphi_out = phi_p(u_om, p) * self.k_out
+        rows = np.concatenate(blocks)
+        rows += kphi_out
+        outer = float(np.sum(kphi_out * u_om))
+        return self.h2n * (ordered_sum(inner) + 2.0 * outer), 2.0 * p * self.h2n * rows
+
+    def energy(self, u_om: NDArray) -> float:
+        return self.energy_grad(u_om)[0]
 
     def grad_omega(self, u_om: NDArray) -> NDArray:
         """Gradient of the energy with respect to the Omega values."""
-        p = self.params.p
-
-        def block(lo: int, hi: int) -> NDArray:
-            diff = u_om[lo:hi, None] - u_om[None, :]
-            return np.sum(self.K_oo[lo:hi] * phi_p(diff, p), axis=1)
-
-        rows = np.concatenate(map_blocks(block, len(u_om)))
-        rows += phi_p(u_om, p) * self.k_out
-        return 2.0 * p * self.h2n * rows
+        return self.energy_grad(u_om)[1]
 
     def monotone_pairing(self, u_om: NDArray, v_om: NDArray) -> float:
         """Double sum of (phi(U)-phi(V)) (U-V) over active pairs.

@@ -150,12 +150,28 @@ as_floats = functools.partial(np.asarray, dtype=float)
 
 def json_field(d: dict, key: str, convert: Callable = float, default=None):
     """convert(d[key]), or convert(default) for an absent key when a default
-    is given; a value of the wrong type raises ValueError naming the field."""
-    value = d[key] if default is None else d.get(key, default)
+    is given; an absent required field or a value of the wrong type raises
+    ValueError naming the field."""
+    if key in d:
+        value = d[key]
+    elif default is not None:
+        value = default
+    else:
+        raise ValueError(f"missing required field {key!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {key!r} has the wrong type or value: {exc}") from None
+
+
+def _as_int(value) -> int:
+    """An integral number as int; a bool or a fractional value is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
 
 
 def _parse_shape(d: dict, dim: int, h: float):
@@ -192,7 +208,7 @@ def _parse_shape(d: dict, dim: int, h: float):
         return _UnionShape(parts)
     if kind == "mask":
         origin = json_field(d, "origin", as_floats)
-        counts = json_field(d, "counts", lambda v: tuple(int(c) for c in v))
+        counts = json_field(d, "counts", lambda v: tuple(_as_int(c) for c in v))
         cells = json_field(d, "cells", lambda v: np.asarray(v, dtype=np.int8))
         if origin.shape != (dim,) or len(counts) != dim:
             raise ValueError("mask origin/counts must match the domain dimension")
@@ -219,7 +235,9 @@ class DomainSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
         return cls(
-            dim=json_field(d, "dim", int), h=json_field(d, "h"), shape=json_field(d, "shape", dict)
+            dim=json_field(d, "dim", _as_int),
+            h=json_field(d, "h"),
+            shape=json_field(d, "shape", dict),
         )
 
 

@@ -86,10 +86,11 @@ class Eigenpair:
                 raise ValueError("trace of Rayleigh values is not nonincreasing")
 
 
-def _residual(kern: EnergyKernel, u_om: NDArray, lam: float) -> float:
+def _residual(kern: EnergyKernel, u_om: NDArray, lam: float, grad: NDArray) -> float:
+    """Relative weak residual at u, given grad = gradient of the energy at u."""
     p = kern.params.p
     target = lam * phi_p(u_om, p) * kern.hn
-    r = kern.grad_omega(u_om) / p - target
+    r = grad / p - target
     scale = float(np.linalg.norm(target))
     return float(np.linalg.norm(r)) / max(scale, 1e-300)
 
@@ -127,14 +128,17 @@ def _inverse_power_step(
     return u_new
 
 
-def _bordered_newton(kern: EnergyKernel, u_om: NDArray, lam: float) -> NDArray | None:
+def _bordered_newton(
+    kern: EnergyKernel, u_om: NDArray, lam: float, grad: NDArray
+) -> NDArray | None:
     """One Newton step on the bordered eigen-system, as normalized |u + du|.
 
     F(u, lam) = [grad E(u)/p - lam c ; (sum |u|^p h^N - 1)/p], c = phi_p(u) h^N.
     Its Jacobian [[H - lam (p-1) diag|u|^(p-2) h^N, -c], [c^T, 0]], with H
     the curvature of E/p, is solved with its last row negated, which makes
     it symmetric; it is nonsingular at the first eigenpair, which is simple
-    with a positive eigenfunction.  Returns None when the solve fails.
+    with a positive eigenfunction.  grad is the gradient of the energy at
+    u.  Returns None when the solve fails.
     """
     p, hn = kern.params.p, kern.hn
     n = len(u_om)
@@ -149,7 +153,7 @@ def _bordered_newton(kern: EnergyKernel, u_om: NDArray, lam: float) -> NDArray |
     jac[n, :n] = -c
     jac[n, n] = 0.0
     rhs = np.empty(n + 1)
-    rhs[:n] = lam * c - kern.grad_omega(u_om) / p
+    rhs[:n] = lam * c - grad / p
     rhs[n] = (float(np.sum(np.abs(u_om) ** p)) * hn - 1.0) / p
     try:
         delta = scipy.linalg.solve(
@@ -199,8 +203,8 @@ def first_eigenpair(
         raise ValueError("start function is identically zero")
     u_om = u.omega_values / nrm
 
-    lam = kern.energy(u_om)
-    res = _residual(kern, u_om, lam)
+    lam, grad = kern.energy_grad(u_om)
+    res = _residual(kern, u_om, lam, grad)
     trace: list[tuple[float, float]] = [(lam, res)]
 
     def at_floor() -> bool:
@@ -214,9 +218,10 @@ def first_eigenpair(
     for n in range(1, cfg.max_iter_outer + 1):
         u_new = None
         if p >= 2.0 and res <= _NEWTON_SWITCH:
-            u_new = _bordered_newton(kern, u_om, lam)
-            lam_new = np.inf if u_new is None else kern.energy(u_new)
-            if lam_new > lam * (1.0 + 1e-12):
+            u_new = _bordered_newton(kern, u_om, lam, grad)
+            if u_new is not None:
+                lam_new, grad_new = kern.energy_grad(u_new)
+            if u_new is None or lam_new > lam * (1.0 + 1e-12):
                 _log.debug(
                     "bordered Newton step refused at outer iteration %d "
                     "(lambda %.17g, residual %.3e); taking the inverse-power step",
@@ -225,15 +230,15 @@ def first_eigenpair(
                 u_new = None
         if u_new is None:
             u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg)
-            lam_new = kern.energy(u_new)
+            lam_new, grad_new = kern.energy_grad(u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate
             break
 
-        res = _residual(kern, u_new, lam_new)
+        res = _residual(kern, u_new, lam_new, grad_new)
         trace.append((lam_new, res))
         step = lam - lam_new
-        u_om, lam = u_new, lam_new
+        u_om, lam, grad = u_new, lam_new, grad_new
         if step <= cfg.tol * lam and at_floor():
             break
 
@@ -279,8 +284,8 @@ def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
         v = -v
     u = GridFunction.from_omega(dom, v)
     u = u / lp_norm(u, 2.0)
-    lam = kern.energy(u.omega_values)
-    res = _residual(kern, u.omega_values, lam)
+    lam, grad = kern.energy_grad(u.omega_values)
+    res = _residual(kern, u.omega_values, lam, grad)
     return Eigenpair(
         lam=lam,
         eigenfunction=u,

@@ -63,10 +63,12 @@ def _header(host: GridDomain) -> dict:
 
 
 def _check_header(head: dict, host: GridDomain) -> None:
-    if int(head["dim"]) != host.dim or list(head["counts"]) != list(host.counts):
+    dim, counts = json_field(head, "dim", int), json_field(head, "counts", list)
+    if dim != host.dim or counts != list(host.counts):
         raise ValueError("grid-function header does not match the host lattice")
     # written as not (... <= ...) so that a NaN h fails the test
-    if not abs(float(head["h"]) - host.h) <= 1e-12 * host.h or float(head["t"]) != host.t:
+    h, t = json_field(head, "h"), json_field(head, "t")
+    if not abs(h - host.h) <= 1e-12 * host.h or t != host.t:
         raise ValueError("grid-function header does not match the host geometry")
 
 
@@ -95,7 +97,7 @@ def load_grid_function(path, host: GridDomain) -> GridFunction:
             return GridFunction(np.array(values), host)
     data = json.loads(raw.decode("utf-8"))
     _check_header(data, host)
-    return GridFunction(np.asarray(data["values"], dtype=float), host)
+    return GridFunction(json_field(data, "values", as_floats), host)
 
 
 def save_eigenpair(pair: Eigenpair, params: FracParams, path) -> None:

@@ -11,13 +11,16 @@ import scipy.linalg
 
 
 def energy_double_sum(cells, values, h, dim, s, p):
-    """Sum over all ordered pairs i != j of |u_i-u_j|^p |x_i-x_j|^-(N+sp) h^(2N)."""
+    """Sum over all ordered pairs i != j of |u_i-u_j|^p |x_i-x_j|^-(N+sp) h^(2N).
+
+    Pairs with u_i = u_j = 0 add exactly 0 and are skipped.
+    """
     expo = dim + s * p
     total = 0.0
     m = len(cells)
     for i in range(m):
         for j in range(m):
-            if i == j:
+            if i == j or values[i] == values[j] == 0.0:
                 continue
             d = math.dist(cells[i], cells[j])
             total += abs(values[i] - values[j]) ** p / d**expo * h ** (2 * dim)
@@ -56,13 +59,13 @@ def hessian_loops(cells, values, omega_mask, h, dim, s, p):
 
     Each ordered pair (i, j) adds (1/p)|u_i - u_j|^p |x_i - x_j|^-(N+sp) h^(2N);
     its second derivatives carry the weight (p-1)|u_i - u_j|^(p-2), with
-    |u_i - u_j| floored at 1e-14 max(max|u|, 1) as in the solver.  Pairs
-    toward exterior cells (u_j = 0) add to the diagonal only.
+    |u_i - u_j| floored at 1e-14 max|u| (1e-14 for u = 0) as in the solver.
+    Pairs toward exterior cells (u_j = 0) add to the diagonal only.
     """
     expo = dim + s * p
     free = [i for i, f in enumerate(omega_mask) if f]
     col = {i: k for k, i in enumerate(free)}
-    delta = 1e-14 * max(max(abs(v) for v in values), 1.0)
+    delta = 1e-14 * (max(abs(v) for v in values) or 1.0)
     out = np.zeros((len(free), len(free)))
     for ii, i in enumerate(free):
         for j in range(len(cells)):

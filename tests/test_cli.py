@@ -116,6 +116,17 @@ class TestSolve:
         assert code == 2
         assert f"field {next(iter(field))!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["f", "s", "p"])
+    def test_missing_problem_field_exits_2(self, domain_file, tmp_path, capsys, field):
+        prob = tmp_path / "prob.json"
+        good = {"f": 1.0, "s": 0.5, "p": 2.0}
+        del good[field]
+        prob.write_text(json.dumps(good))
+        code = run(["solve", "--domain", domain_file, "--problem", prob,
+                    "--out", tmp_path / "x.json"])
+        assert code == 2
+        assert f"missing required field {field!r}" in capsys.readouterr().err
+
     def test_pair_datum_beyond_dense_budget_exits_2(self, tmp_path, capsys):
         # the 2D box at h=1/32 has 25,276 ball cells, over the 8,192 that one
         # dense pair array allows; the guard fires before the list converts
@@ -227,6 +238,26 @@ class TestPoincare:
         code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
         assert code == 2
         assert f"field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [1.9, True])
+    def test_non_integer_dim_exits_2(self, tmp_path, capsys, dim):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(
+            {"dim": dim, "h": 1 / 16, "shape": {"type": "interval", "a": 0.0, "b": 1.0}}
+        ))
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
+        assert code == 2
+        assert "field 'dim'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["dim", "h", "shape"])
+    def test_missing_domain_field_exits_2(self, tmp_path, capsys, field):
+        path = tmp_path / "domain.json"
+        good = {"dim": 1, "h": 1 / 16, "shape": {"type": "interval", "a": 0.0, "b": 1.0}}
+        del good[field]
+        path.write_text(json.dumps(good))
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
+        assert code == 2
+        assert f"missing required field {field!r}" in capsys.readouterr().err
 
 
 class TestVerify:

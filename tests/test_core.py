@@ -255,6 +255,39 @@ class TestApplyOperator:
         assert np.all(g.values[~interval16.omega_mask] == 0.0)
 
 
+class TestEnergyGrad:
+    @pytest.mark.parametrize("name", ["interval8", "box8"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_loop_oracles(self, name, p, request):
+        dom = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        u_om = rng.standard_normal(dom.n_omega)
+        u_om[3] = u_om[1]  # one exactly tied pair
+        assert u_om.min() < 0.0 < u_om.max()  # pair differences of both signs
+        u = GridFunction.from_omega(dom, u_om)
+        s = 0.4
+        energy, grad = energy_kernel(dom, FracParams(s=s, p=p)).energy_grad(u_om)
+        e_oracle = energy_double_sum(dom.cells, u.values, dom.h, dom.dim, s, p)
+        g_oracle = operator_double_sum(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
+        assert energy == pytest.approx(e_oracle, rel=1e-13)
+        np.testing.assert_allclose(grad, g_oracle[dom.omega_indices], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_gradient_is_the_unfused_sum_bit_for_bit(self, interval256, p):
+        # more free cells than one reduction block
+        kern = energy_kernel(interval256, FracParams(s=0.75, p=p))
+        u_om = np.random.default_rng(18).standard_normal(interval256.n_omega)
+        u_om[5] = u_om[200]
+        z = u_om[:, None] - u_om[None, :]
+        rows = np.sum(kern.K_oo * (np.abs(z) ** (p - 1.0) * np.sign(z)), axis=1)
+        rows += np.abs(u_om) ** (p - 1.0) * np.sign(u_om) * kern.k_out
+        expected = 2.0 * p * kern.h2n * rows
+        energy, grad = kern.energy_grad(u_om)
+        assert grad.tobytes() == expected.tobytes()
+        assert kern.grad_omega(u_om).tobytes() == grad.tobytes()
+        assert kern.energy(u_om) == energy
+
+
 class TestHessian:
     @pytest.mark.parametrize("name", ["interval8", "box8"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

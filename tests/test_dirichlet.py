@@ -131,6 +131,18 @@ class TestSolveDirichlet:
         g = kern.grad_omega(w.omega_values) / params.p - b
         assert np.linalg.norm(g) <= 1e-7 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_solution_scales_with_the_datum(self, interval8, k):
+        # the operator is (p-1)-homogeneous, so the datum c f has the
+        # solution c^(1/(p-1)) w = c^2 w at p = 1.5; the constant datum's
+        # symmetric solution carries near-ties, whose Hessian floor must
+        # scale with w for the solve to behave alike at every c
+        f = np.ones(interval8.n_omega)
+        w = solve_dirichlet(DirichletProblem(interval8, P15, f)).omega_values
+        c = 2.0**k
+        scaled = solve_dirichlet(DirichletProblem(interval8, P15, c * f)).omega_values
+        assert np.linalg.norm(scaled - c**2 * w) <= 1e-8 * np.linalg.norm(c**2 * w)
+
     def test_spent_budget_raises_with_partial(self, interval16):
         rng = np.random.default_rng(39)
         f = rng.standard_normal(interval16.n_omega)

@@ -111,6 +111,22 @@ class TestBuildDomain:
         with pytest.raises(ValueError):
             DomainSpec(dim=1, h=-0.1, shape={"type": "interval", "a": 0, "b": 1})
 
+    def test_from_dict_dim_must_be_integral(self):
+        shape = {"type": "interval", "a": 0.0, "b": 1.0}
+        spec = DomainSpec.from_dict({"dim": 1.0, "h": 0.1, "shape": shape})
+        assert spec.dim == 1 and type(spec.dim) is int
+        for dim in (1.9, True, False, None):
+            with pytest.raises(ValueError, match="field 'dim'"):
+                DomainSpec.from_dict({"dim": dim, "h": 0.1, "shape": shape})
+        with pytest.raises(ValueError, match="missing required field 'h'"):
+            DomainSpec.from_dict({"dim": 1, "shape": shape})
+
+    @pytest.mark.parametrize("counts", [[4.9], [True]])
+    def test_mask_counts_must_be_integral(self, counts):
+        mask = {"type": "mask", "origin": [0.125], "counts": counts, "cells": [1, 1, 1, 1]}
+        with pytest.raises(ValueError, match="field 'counts'"):
+            build_domain(DomainSpec(dim=1, h=0.25, shape=mask), t=4.0)
+
 
 class TestDilate:
     def test_rescale_interval(self, interval8):

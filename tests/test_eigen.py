@@ -227,7 +227,7 @@ class TestFirstEigenpair:
         # inverse-power step of the same outer iteration
         params = FracParams(s=0.5, p=3.0)
         plain = first_eigenpair(box8, params)
-        monkeypatch.setattr(eigen_mod, "_bordered_newton", lambda kern, u, lam: 2.0 * u)
+        monkeypatch.setattr(eigen_mod, "_bordered_newton", lambda kern, u, lam, grad: 2.0 * u)
         with caplog.at_level(logging.DEBUG, logger="fraceig.eigen"):
             pair = first_eigenpair(box8, params)
         assert pair.converged

@@ -88,6 +88,17 @@ def test_grid_function_nan_h_rejected(tmp_path, interval16):
         load_grid_function(path, interval16)
 
 
+@pytest.mark.parametrize("field", ["dim", "counts", "h", "t", "values"])
+def test_grid_function_missing_field_named(tmp_path, interval16, field):
+    path = tmp_path / "u.json"
+    save_grid_function(GridFunction.indicator(interval16), path)
+    data = json.loads(path.read_text())
+    del data[field]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+        load_grid_function(path, interval16)
+
+
 def test_eigenpair_and_trace(tmp_path, interval16):
     pair = first_eigenpair(interval16, P2)
     path = tmp_path / "pair.json"
