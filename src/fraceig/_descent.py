@@ -20,17 +20,12 @@ pairs (EnergyKernel.energy_grad).  Near the minimum
 the objective saturates in float before tight gradient targets are met;
 steps that contract the gradient are then accepted on that evidence.
 
-A caller may also pass the float floor of the gradient norm, a callable of
-the iterate.  A trial whose predicted decrease lies below the objective's
-float resolution (4 eps |f|) cannot be judged by the objective at all; if
-the gradient already sits at the floor there, the current iterate is
-returned at once, since further damping would only rescale noise.  The
-floor is evaluated only at such trials, so solves that never reach it pay
-nothing.
-
 An iterate whose damped trials are all rejected after the damping has
 drifted from its fresh value is retried once from fresh damping, since a
 float-flat objective can drive the damping to saturation above the floor.
+The solver knows no float floor of its own: a caller that owns a stopping
+policy (first_eigenpair, solve_dirichlet) applies one through gtol or
+after the run.
 """
 
 from __future__ import annotations
@@ -95,18 +90,15 @@ def minimize_convex(
     x0: NDArray,
     gtol: float,
     max_evals: int,
-    floor: Callable[[NDArray], float] | None = None,
 ) -> DescentResult:
     """Minimize a convex objective from x0 until ||grad||_2 <= gtol.
 
     hessian(x) returns the dense curvature matrix (already floored against
-    exact pair ties); quad is the SPD damping metric.  Returns early when
-    no damped trial from fresh damping improves the objective or contracts
-    the gradient, which signals the float floor of the problem rather than
-    missing optimality.  floor(x), when given, is the gradient norm below
-    which no step at x is resolvable; a trial below the objective's
-    resolution at such an x ends the solve.  converged still means
-    ||grad|| <= gtol.
+    exact pair ties); quad is the SPD damping metric.  Stops on gtol, when
+    max_evals objective evaluations are spent, or when no damped trial
+    from fresh damping improves the objective or contracts the gradient,
+    which signals the float floor of the problem rather than missing
+    optimality.  converged means ||grad|| <= gtol.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_grad(x)
@@ -118,22 +110,13 @@ def minimize_convex(
         h = hessian(x)
         mu_start = mu
         accepted = False
-        x_new, f_new, g_new = x, f, g
         f_slack = f + 4.0 * np.finfo(float).eps * (abs(f) + 1e-300)
-        at_floor = None  # floor(x) is evaluated at most once per iterate
         for _ in range(_MAX_REJECTS):
             d = _solve_damped(h, quad, g, mu)
             if d is None:
                 mu = min(4.0 * mu, _MU_MAX)
                 continue
             predicted = float(np.dot(g, d)) - 0.5 * float(np.dot(d, h @ d))
-            if floor is not None and predicted <= f_slack - f:
-                if at_floor is None:
-                    at_floor = gnorm <= floor(x)
-                if at_floor:
-                    # below resolution at the float floor: neither more
-                    # damping nor a noise step can improve on x
-                    return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
             if predicted <= 0.0:
                 mu = min(4.0 * mu, _MU_MAX)
                 continue
@@ -174,7 +157,6 @@ def minimize_energy(
     x0: NDArray | None,
     gtol: float,
     max_evals: int,
-    floor: Callable[[NDArray], float] | None = None,
 ) -> DescentResult:
     """minimize_convex on (1/p) kern.energy(w) - <b, w>, damped by kern.quad_matrix.
 
@@ -195,4 +177,4 @@ def minimize_energy(
         energy, grad = kern.energy_grad(w)
         return energy / p - float(np.dot(b, w)), grad / p - b
 
-    return minimize_convex(value_grad, kern.hessian_omega, quad, x0, gtol, max_evals, floor)
+    return minimize_convex(value_grad, kern.hessian_omega, quad, x0, gtol, max_evals)

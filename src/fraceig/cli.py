@@ -36,17 +36,30 @@ EXIT_VIOLATION = 4
 _WEIGHTED_TOL = 1e-10
 
 
-def _add_common(sub: argparse.ArgumentParser, with_params: bool = True) -> None:
+# solver flags, each with the SolverConfig field it sets
+_SOLVER_FLAGS = {
+    "--tol": ("tol", float),
+    "--inner-tol": ("inner_tol", float),
+    "--max-iter": ("max_iter_outer", int),
+    "--max-iter-inner": ("max_iter_inner", int),
+    "--seed": ("seed", int),
+}
+_INNER_FLAGS = ("--inner-tol", "--max-iter-inner")
+_EIGEN_FLAGS = ("--tol", "--max-iter") + _INNER_FLAGS
+
+
+def _add_common(
+    sub: argparse.ArgumentParser, with_params: bool = True, solver: tuple = ()
+) -> None:
+    """--domain, --s and --p, --t, and the solver flags the subcommand reads."""
     sub.add_argument("--domain", required=True, help="domain spec JSON file")
     if with_params:
         sub.add_argument("--s", type=float, required=True, help="order s in (0,1)")
         sub.add_argument("--p", type=float, required=True, help="exponent p > 1")
     sub.add_argument("--t", type=float, default=4.0, help="truncation factor (default 4)")
-    sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--inner-tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", type=int, default=500)
-    sub.add_argument("--max-iter-inner", type=int, default=10000)
-    sub.add_argument("--seed", type=int, default=42)
+    for flag in solver:  # a flag left out keeps the SolverConfig default
+        dest, kind = _SOLVER_FLAGS[flag]
+        sub.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS)
 
 
 def _add_threads(sub: argparse.ArgumentParser) -> None:
@@ -57,14 +70,8 @@ def _add_threads(sub: argparse.ArgumentParser) -> None:
 
 
 def _config(args, threads: int = 1) -> SolverConfig:
-    return SolverConfig(
-        tol=args.tol,
-        inner_tol=args.inner_tol,
-        max_iter_outer=args.max_iter,
-        max_iter_inner=args.max_iter_inner,
-        seed=args.seed,
-        threads=threads,
-    )
+    fields = {dest for dest, _ in _SOLVER_FLAGS.values()}
+    return SolverConfig(threads=threads, **{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _domain(args):
@@ -182,21 +189,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_eig = subs.add_parser("eig", help="first eigenpair")
-    _add_common(p_eig)
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        # no prefix matching, or solve would take --max-iter for --max-iter-inner
+        return subs.add_parser(name, help=text, allow_abbrev=False)
+
+    p_eig = command("eig", "first eigenpair")
+    _add_common(p_eig, solver=_EIGEN_FLAGS)
     p_eig.add_argument("--out", default="eigenpair.json")
     p_eig.add_argument("--trace", default=None, help="optional trace CSV path")
     p_eig.set_defaults(func=cmd_eig)
 
-    p_solve = subs.add_parser("solve", help="Dirichlet solve from a problem file")
-    _add_common(p_solve, with_params=False)
+    p_solve = command("solve", "Dirichlet solve from a problem file")
+    _add_common(p_solve, with_params=False, solver=_INNER_FLAGS)
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--out", default="solution.json")
     p_solve.add_argument("--binary", action="store_true", help="write binary values")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_sweep = subs.add_parser("sweep", help="eigenvalue sweep across s")
-    _add_common(p_sweep, with_params=False)
+    p_sweep = command("sweep", "eigenvalue sweep across s")
+    _add_common(p_sweep, with_params=False, solver=_EIGEN_FLAGS)
     _add_threads(p_sweep)
     p_sweep.add_argument("--p", type=float, required=True, help="exponent p > 1")
     p_sweep.add_argument("--s-list", default=None, help="comma-separated s values")
@@ -205,19 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_poin = subs.add_parser("poincare", help="geometric Poincare constant")
+    p_poin = command("poincare", "geometric Poincare constant")
     _add_common(p_poin)
     p_poin.add_argument("--out", default=None)
     p_poin.set_defaults(func=cmd_poincare)
 
-    p_verify = subs.add_parser("verify", help="randomized property suites")
-    _add_common(p_verify)
+    p_verify = command("verify", "randomized property suites")
+    _add_common(p_verify, solver=tuple(_SOLVER_FLAGS))
     _add_threads(p_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITES + ("all",))
     p_verify.add_argument("--out", default="verify.json")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_oracle = subs.add_parser("oracle", help="dense p=2 eigen oracle")
+    p_oracle = command("oracle", "dense p=2 eigen oracle")
     _add_common(p_oracle)
     p_oracle.add_argument("--out", default="oracle.json")
     p_oracle.set_defaults(func=cmd_oracle)

@@ -31,8 +31,8 @@ __all__ = [
     "nonlocal_divergence",
 ]
 
-# relative gradient level below which the damped-Newton endgame cannot
-# polish further for p < 2 (eps times the tie-driven condition number);
+# relative gradient level below which Newton-type solves cannot polish
+# further for p < 2 (eps times the tie-driven condition number);
 # gradient_floor applies it only there
 _REL_POLISH_FLOOR = 1e-7
 
@@ -301,11 +301,13 @@ class EnergyKernel:
         """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.
 
         The assembly floor residual_floor with a 4x margin.  For p < 2 the
-        damped-Newton polishing limit _REL_POLISH_FLOOR * ||b|| is taken
-        when larger: near-tie pairs drive the Hessian's condition number
-        there.  For p >= 2 the pair weights stay bounded at ties, and the
-        bordered Newton endgame of first_eigenpair reaches the computed
-        floor.
+        polishing limit _REL_POLISH_FLOOR * ||b|| is taken when larger:
+        near-tie pairs drive the Hessian's condition number there, in the
+        damped inner solves and the bordered Newton steps alike.  For
+        p >= 2 the pair weights stay bounded at ties and Newton reaches
+        the computed floor.  Only the drivers apply it: first_eigenpair
+        in its stop test and its fallback inner tolerance, solve_dirichlet
+        in its check after the run.
         """
         floor = 4.0 * self.residual_floor(w)
         if self.params.p < 2.0:
@@ -342,7 +344,9 @@ class EnergyKernel:
         def block(lo: int, hi: int):
             du = u_om[lo:hi, None] - u_om[None, :]
             dv = v_om[lo:hi, None] - v_om[None, :]
-            off = ~np.eye(len(u_om), dtype=bool)[lo:hi]
+            off = np.ones(du.shape, dtype=bool)
+            rows = np.arange(hi - lo)
+            off[rows, lo + rows] = False  # the diagonal pairs (i, i)
             return gap(du[off], dv[off])
 
         parts = map_blocks(block, len(u_om))

@@ -10,14 +10,16 @@ is replaced by its absolute value and renormalized.  The energy never
 increases under absolute value and the first eigenfunction is signless, so
 the Rayleigh values decrease along the outer loop.
 
-For p >= 2, once the weak residual is at most _NEWTON_SWITCH, each outer
-step is instead one Newton step on the bordered eigen-system in (u,
-lambda), which converges quadratically: the first eigenvalue is simple
-and its eigenfunction positive, so the bordered Jacobian is nonsingular
-there.  A Newton step that fails to solve or raises lambda is discarded
-for the inverse-power step.  For p < 2 the pair weights |u_i - u_j|^(p-2)
-blow up at near-ties, the same Newton endgame stalls or runs out of
-budget, and the damped inverse-power endgame is kept.
+Once the weak residual is at most _NEWTON_SWITCH, each outer step first
+tries one Newton step on the bordered eigen-system in (u, lambda), which
+converges quadratically: the first eigenvalue is simple and its
+eigenfunction positive for every p > 1, so the bordered Jacobian is
+nonsingular there.  A Newton step that fails to solve, raises lambda or
+raises the residual is refused; the solve then stops if the iterate is
+at its float floor, and otherwise takes the inverse-power step with an
+inner tolerance clamped to that floor.  For p < 2 the pair weights
+|u_i - u_j|^(p-2) blow up at near-ties, and a solve may end at that
+floor rather than at tol.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 _ORACLE_MAX_FREE = 4096
-# weak residual below which p >= 2 solves take bordered Newton steps
+# weak residual below which outer steps try bordered Newton first
 _NEWTON_SWITCH = 1e-2
 # slack for float noise in monotonicity checks near the iteration floor
 _TRACE_SLACK = 1e-11
@@ -86,13 +88,12 @@ class Eigenpair:
                 raise ValueError("trace of Rayleigh values is not nonincreasing")
 
 
-def _residual(kern: EnergyKernel, u_om: NDArray, lam: float, grad: NDArray) -> float:
-    """Relative weak residual at u, given grad = gradient of the energy at u."""
-    p = kern.params.p
-    target = lam * phi_p(u_om, p) * kern.hn
-    r = grad / p - target
-    scale = float(np.linalg.norm(target))
-    return float(np.linalg.norm(r)) / max(scale, 1e-300)
+def _evaluate(kern: EnergyKernel, u_om: NDArray) -> tuple[float, NDArray, float]:
+    """Energy, its gradient, and the relative weak residual at a normalized u."""
+    lam, grad = kern.energy_grad(u_om)
+    target = lam * phi_p(u_om, kern.params.p) * kern.hn
+    r = grad / kern.params.p - target
+    return lam, grad, float(np.linalg.norm(r)) / max(float(np.linalg.norm(target)), 1e-300)
 
 
 def _normalized(w: NDArray, p: float, hn: float) -> NDArray | None:
@@ -103,25 +104,22 @@ def _normalized(w: NDArray, p: float, hn: float) -> NDArray | None:
 
 def _inverse_power_step(
     kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool,
-    cfg: SolverConfig,
+    cfg: SolverConfig, floor: float,
 ) -> NDArray:
-    """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) h^N."""
+    """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) h^N.
+
+    The inner solve asks for no finer gradient than floor (0.0: no floor).
+    """
     p, hn = kern.params.p, kern.hn
     b = lam * phi_p(u_om, p) * hn
     # inexact inverse power: early inner solves only need to track the
     # outer residual; the tolerance tightens as the eigenpair settles
     gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
     b_norm = float(np.linalg.norm(b))
-
-    def floor(w: NDArray) -> float:
-        return kern.gradient_floor(w, b_norm)
-
+    gtol = max(gtol_rel * max(b_norm, 1e-300), floor)
     # the indicator start carries exact pair ties; minimize_energy's
     # quadratic-form start gives a smooth first inner iterate instead
-    inner = minimize_energy(
-        kern, b, None if first else u_om, gtol_rel * max(b_norm, 1e-300),
-        cfg.max_iter_inner, floor,
-    )
+    inner = minimize_energy(kern, b, None if first else u_om, gtol, cfg.max_iter_inner)
     u_new = _normalized(np.abs(inner.x), p, hn)
     if u_new is None:
         raise ConvergenceError("inner solve collapsed to zero", partial=None)
@@ -174,16 +172,17 @@ def first_eigenpair(
 ) -> Eigenpair:
     """Inverse-power iteration for the smallest Rayleigh quotient.
 
-    For p >= 2 the outer steps become bordered Newton steps once the
-    residual is at most _NEWTON_SWITCH; a Newton step that fails or
-    raises lambda by over 1e-12 relative is discarded (logged at DEBUG)
-    and the inverse-power step taken.  p < 2 keeps the inverse-power
-    endgame throughout.  One floor test decides: the weak residual is at most cfg.tol, or
-    res * ||b|| is at most kern.gradient_floor(u, ||b||), b = lambda
-    phi_p(u) h^N, the level where the inner solves return their start.
-    The loop stops once an accepted step moves lambda by at most cfg.tol
-    relative at the floor, or at the float fixed point: a step that leaves
-    u unchanged or raises lambda by over 1e-12 relative, which is refused.
+    Once the residual is at most _NEWTON_SWITCH, each outer step first
+    tries a bordered Newton step.  One floor test decides convergence: the
+    weak residual is at most cfg.tol, or res * ||b|| is at most
+    kern.gradient_floor(u, ||b||), b = lambda phi_p(u) h^N.  A Newton step
+    that fails, raises lambda by over 1e-12 relative or raises the
+    residual is refused (logged at DEBUG); the solve then stops if the
+    floor test holds, and otherwise takes the inverse-power step, whose
+    inner solve asks for no finer gradient than that floor.  The loop also
+    stops once an accepted step moves lambda by at most cfg.tol relative
+    at the floor, or at the float fixed point: a step that leaves u
+    unchanged or raises lambda by over 1e-12 relative, which is refused.
     converged is the floor test at exit; otherwise ConvergenceError
     carries the partial eigenpair.
     """
@@ -203,46 +202,47 @@ def first_eigenpair(
         raise ValueError("start function is identically zero")
     u_om = u.omega_values / nrm
 
-    lam, grad = kern.energy_grad(u_om)
-    res = _residual(kern, u_om, lam, grad)
+    lam, grad, res = _evaluate(kern, u_om)
     trace: list[tuple[float, float]] = [(lam, res)]
 
-    def at_floor() -> bool:
+    def unmet_floor() -> float | None:
+        """None if the floor test holds at the iterate, else its gradient floor."""
         if res <= cfg.tol:
-            return True
+            return None
         b_norm = lam * float(np.linalg.norm(phi_p(u_om, p))) * hn
-        return res * b_norm <= kern.gradient_floor(u_om, b_norm)
+        floor = kern.gradient_floor(u_om, b_norm)
+        return None if res * b_norm <= floor else floor
 
     stop_reason = "budget"
     n = 0
     for n in range(1, cfg.max_iter_outer + 1):
-        u_new = None
-        if p >= 2.0 and res <= _NEWTON_SWITCH:
+        u_new, floor = None, 0.0  # no floor is evaluated before the switch
+        if res <= _NEWTON_SWITCH:
             u_new = _bordered_newton(kern, u_om, lam, grad)
             if u_new is not None:
-                lam_new, grad_new = kern.energy_grad(u_new)
-            if u_new is None or lam_new > lam * (1.0 + 1e-12):
-                _log.debug(
-                    "bordered Newton step refused at outer iteration %d "
-                    "(lambda %.17g, residual %.3e); taking the inverse-power step",
-                    n, lam, res,
-                )
-                u_new = None
+                lam_new, grad_new, res_new = _evaluate(kern, u_new)
+                if lam_new > lam * (1.0 + 1e-12) or res_new > res:
+                    u_new = None
+            if u_new is None:
+                _log.debug("bordered Newton step refused at outer iteration %d "
+                           "(lambda %.17g, residual %.3e)", n, lam, res)
+                floor = unmet_floor()
+                if floor is None:
+                    break
         if u_new is None:
-            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg)
-            lam_new, grad_new = kern.energy_grad(u_new)
+            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg, floor)
+            lam_new, grad_new, res_new = _evaluate(kern, u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate
             break
 
-        res = _residual(kern, u_new, lam_new, grad_new)
-        trace.append((lam_new, res))
+        trace.append((lam_new, res_new))
         step = lam - lam_new
-        u_om, lam, grad = u_new, lam_new, grad_new
-        if step <= cfg.tol * lam and at_floor():
+        u_om, lam, grad, res = u_new, lam_new, grad_new, res_new
+        if step <= cfg.tol * lam and unmet_floor() is None:
             break
 
-    converged = at_floor()
+    converged = unmet_floor() is None
     if converged:
         stop_reason = "tol" if res <= cfg.tol else "float floor"
     pair = Eigenpair(
@@ -284,8 +284,7 @@ def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
         v = -v
     u = GridFunction.from_omega(dom, v)
     u = u / lp_norm(u, 2.0)
-    lam, grad = kern.energy_grad(u.omega_values)
-    res = _residual(kern, u.omega_values, lam, grad)
+    lam, _, res = _evaluate(kern, u.omega_values)
     return Eigenpair(
         lam=lam,
         eigenfunction=u,

@@ -260,6 +260,31 @@ class TestPoincare:
         assert f"missing required field {field!r}" in capsys.readouterr().err
 
 
+class TestSolverFlags:
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["poincare", "--s", 0.5, "--p", 2], "--tol"),
+            (["oracle", "--s", 0.5, "--p", 2], "--max-iter-inner"),
+            (["eig", "--s", 0.5, "--p", 2], "--seed"),
+            (["sweep", "--p", 2, "--s-list", 0.5, "--s-base", 0.5], "--seed"),
+            (["solve", "--problem", "problem.json"], "--max-iter"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, domain_file, capsys, args, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--domain", domain_file, flag, 1])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_read_flags_reach_the_config(self, domain_file, tmp_path):
+        code = run(["verify", "--domain", domain_file, "--s", 0.5, "--p", 2,
+                    "--suite", "poincare", "--seed", 7, "--tol", 1e-6,
+                    "--out", tmp_path / "v.json"])
+        assert code == 0
+        assert json.loads((tmp_path / "v.json").read_text())["seed"] == 7
+
+
 class TestVerify:
     def test_adjoint_suite_passes(self, domain_file, tmp_path, capsys):
         out = tmp_path / "verify.json"

@@ -79,9 +79,8 @@ class TestFirstEigenpair:
         assert lp_norm(pair.eigenfunction - oracle.eigenfunction, 2.0) <= 1e-4
 
     def test_p_small_endgame_stops_at_float_floor(self, box8, monkeypatch):
-        # the inner solves return once a damped trial falls below the
-        # objective's float resolution at the gradient floor, instead of
-        # ramping the damping through dozens of rejected factorizations
+        # bordered Newton finishes the p < 2 solve; the few factorizations
+        # left belong to the inverse-power steps before the switch
         import scipy.linalg
 
         calls = []
@@ -93,10 +92,21 @@ class TestFirstEigenpair:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
         pair = first_eigenpair(box8, FracParams(s=0.5, p=1.5))
-        assert len(calls) <= 40  # 264 without the floor exit
+        assert len(calls) <= 10
         assert pair.lam == pytest.approx(32.76385791815459, rel=1e-10)
         assert pair.residual <= 1e-7
-        assert pair.iterations == 15
+        assert pair.iterations == 6
+
+    @pytest.mark.parametrize(
+        "s, lam",
+        [(0.65, 15.414585546093356), (0.75, 19.755287316760715), (0.8, 22.707647725763337)],
+    )
+    def test_p_small_newton_endgame(self, interval64, s, lam):
+        # the inverse-power endgame took 9 outer iterations on these
+        pair = first_eigenpair(interval64, FracParams(s=s, p=1.5))
+        assert pair.converged
+        assert pair.iterations <= 7
+        assert pair.lam == pytest.approx(lam, rel=1e-12)
 
     def test_scaling_law_sp_one(self, interval16):
         lam = first_eigenpair(interval16, P2).lam
@@ -224,16 +234,20 @@ class TestFirstEigenpair:
 
     def test_refused_newton_step_falls_back(self, box8, monkeypatch, caplog):
         # a Newton step that raises lambda is discarded for the
-        # inverse-power step of the same outer iteration
-        params = FracParams(s=0.5, p=3.0)
-        plain = first_eigenpair(box8, params)
-        monkeypatch.setattr(eigen_mod, "_bordered_newton", lambda kern, u, lam, grad: 2.0 * u)
-        with caplog.at_level(logging.DEBUG, logger="fraceig.eigen"):
-            pair = first_eigenpair(box8, params)
-        assert pair.converged
-        assert pair.lam == pytest.approx(plain.lam, rel=1e-12)
-        refused = [r for r in caplog.records if "bordered Newton step refused" in r.getMessage()]
-        assert refused and all(r.levelno == logging.DEBUG for r in refused)
+        # inverse-power step of the same outer iteration, or ends the
+        # solve where the iterate is already at its float floor
+        for p in (3.0, 1.5):
+            params = FracParams(s=0.5, p=p)
+            plain = first_eigenpair(box8, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(eigen_mod, "_bordered_newton", lambda kern, u, lam, grad: 2.0 * u)
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="fraceig.eigen"):
+                    pair = first_eigenpair(box8, params)
+            assert pair.converged
+            assert pair.lam == pytest.approx(plain.lam, rel=1e-12)
+            refused = [r for r in caplog.records if "bordered Newton step refused" in r.getMessage()]
+            assert refused and all(r.levelno == logging.DEBUG for r in refused)
 
     def test_loose_tol_stops_on_tol(self, interval16):
         pair = first_eigenpair(interval16, FracParams(s=0.5, p=3.0), SolverConfig(tol=1e-6))
