@@ -1,28 +1,28 @@
-"""Damped Newton minimizer for the convex kernel energies.
+"""Newton minimizer with a derivative line search for the convex kernel energies.
 
 The inner problems minimize (1/p) energy(w) - <b, w>, whose Hessian is a
 weighted graph Laplacian over the kernel pairs.  Pure first-order descent
-stalls far above the required 1e-10 optimality on these kernels, and an
-undamped Newton step oscillates across near-tie pairs for p < 2 (the pair
-weight |w_i - w_j|^(p-2) makes the gradient concave there), so steps solve
-the Levenberg-damped system (H + mu Q) d = g with Q the kernel's fixed SPD
-quadratic form (the p = 2 Hessian, built once per inner solve by
-minimize_energy).  The damping follows the usual gain-ratio control: it
-grows on rejected or poorly modeled steps and decays only when the local
-quadratic model tracks the objective.  Each damped system is
-Jacobi-equilibrated and polished by one iterative-refinement pass, since
-near-tie pairs drive its condition number and a plain Cholesky solve would
-lose exactly the digits the inner tolerance asks for; each trial writes
-the damped matrix into one n x n buffer that LAPACK factors in place, and
-takes the refinement residual from H and Q themselves.  minimize_energy
-evaluates the objective and its gradient in one pass over the kernel
-pairs (EnergyKernel.energy_grad).  Near the minimum
-the objective saturates in float before tight gradient targets are met;
-steps that contract the gradient are then accepted on that evidence.
+stalls far above the required 1e-10 optimality on these kernels, so each
+iterate takes the Newton direction d of (H + _REG0 Q) d = g, with Q the
+kernel's fixed SPD quadratic form (the p = 2 Hessian, built once per inner
+solve by minimize_energy); the shift grows only when the Cholesky
+factorization fails.  The full Newton step overshoots or falls short
+across near-tie pairs for p != 2 (the pair weight |w_i - w_j|^(p-2)
+blows up or vanishes there), so the step length comes from a safeguarded
+secant search on the directional derivative phi'(a) = -<grad J(x - a d), d>.
+phi is convex, so phi' is monotone; the gradient comes with every
+objective evaluation, and phi' stays informative after the objective
+itself saturates in float.  Once it has, a step that contracts the
+gradient is accepted on that evidence.
 
-An iterate whose damped trials are all rejected after the damping has
-drifted from its fresh value is retried once from fresh damping, since a
-float-flat objective can drive the damping to saturation above the floor.
+Each Newton system is Jacobi-equilibrated and polished by one
+iterative-refinement pass, since near-tie pairs drive its condition number
+and a plain Cholesky solve would lose exactly the digits the inner
+tolerance asks for; the shifted matrix is written into one n x n buffer
+that LAPACK factors in place, and the refinement residual is taken from H
+and Q themselves.  minimize_energy evaluates the objective and its
+gradient in one pass over the kernel pairs (EnergyKernel.energy_grad).
+
 The solver knows no float floor of its own: a caller that owns a stopping
 policy (first_eigenpair, solve_dirichlet) applies one through gtol or
 after the run.
@@ -41,11 +41,8 @@ if TYPE_CHECKING:
     from .core import EnergyKernel
 
 _REG0 = 1e-13
-_MU_FRESH = 1e-8
-_MU_MIN = 1e-14
 _MU_MAX = 1e30
-_RHO_ACCEPT = 1e-4
-_MAX_REJECTS = 60
+_MAX_TRIALS = 30  # line-search trials per iterate
 
 
 @dataclass
@@ -94,59 +91,61 @@ def minimize_convex(
     """Minimize a convex objective from x0 until ||grad||_2 <= gtol.
 
     hessian(x) returns the dense curvature matrix (already floored against
-    exact pair ties); quad is the SPD damping metric.  Stops on gtol, when
-    max_evals objective evaluations are spent, or when no damped trial
-    from fresh damping improves the objective or contracts the gradient,
-    which signals the float floor of the problem rather than missing
-    optimality.  converged means ||grad|| <= gtol.
+    exact pair ties); quad is the SPD form of the regularizing shift.  Each
+    iterate solves (H + _REG0 Q) d = g, raising the shift 4x only while the
+    factorization fails, and searches the step x - a d on the nondecreasing
+    phi'(a) = -<grad f(x - a d), d>: from a = 1 the step doubles while
+    phi' < 0, then regula falsi steps, kept 10% inside the bracket, follow.
+    A trial that does not raise f beyond float noise (4 eps |f|) is
+    accepted when its gradient meets gtol, when it lowers f beyond that
+    noise and |phi'| <= 0.1 |phi'(0)|, or when it leaves f flat in float
+    and the gradient norm has contracted to 0.9 ||g||.  Stops on
+    gtol, when max_evals objective evaluations are spent, or when none of
+    _MAX_TRIALS trials along d is accepted, which signals the float floor
+    of the problem rather than missing optimality.  converged means
+    ||grad|| <= gtol.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = value_grad(x)
     evals = 1
     gnorm = float(np.linalg.norm(g))
-    mu = _MU_FRESH
 
     while gnorm > gtol and evals < max_evals:
         h = hessian(x)
-        mu_start = mu
-        accepted = False
-        f_slack = f + 4.0 * np.finfo(float).eps * (abs(f) + 1e-300)
-        for _ in range(_MAX_REJECTS):
-            d = _solve_damped(h, quad, g, mu)
-            if d is None:
-                mu = min(4.0 * mu, _MU_MAX)
-                continue
-            predicted = float(np.dot(g, d)) - 0.5 * float(np.dot(d, h @ d))
-            if predicted <= 0.0:
-                mu = min(4.0 * mu, _MU_MAX)
-                continue
-            x_new = x - d
+        mu = 0.0
+        while (d := _solve_damped(h, quad, g, mu)) is None or float(np.dot(g, d)) <= 0.0:
+            if mu >= _MU_MAX:
+                return DescentResult(x, f, gnorm, evals, False)
+            mu = min(4.0 * max(mu, _REG0), _MU_MAX)
+        f_noise = 4.0 * np.finfo(float).eps * abs(f)
+        lo, dlo = 0.0, -float(np.dot(g, d))
+        hi = dhi = None
+        slope_tol = -0.1 * dlo
+        a = 1.0
+        for _ in range(min(_MAX_TRIALS, max_evals - evals)):
+            x_new = x - a * d
             f_new, g_new = value_grad(x_new)
             evals += 1
-            rho = (f - f_new) / predicted
-            if f_new < f and rho >= _RHO_ACCEPT:
-                if rho >= 0.75:
-                    mu = max(mu / 3.0, _MU_MIN)
-                elif rho < 0.25:
-                    mu = min(2.0 * mu, _MU_MAX)
-                accepted = True
+            da = -float(np.dot(g_new, d))
+            gnorm_new = float(np.linalg.norm(g_new))
+            if f_new <= f + f_noise and (
+                gnorm_new <= gtol
+                or (abs(da) <= slope_tol if f_new < f - f_noise else gnorm_new <= 0.9 * gnorm)
+            ):
                 break
-            if f_new <= f_slack and float(np.linalg.norm(g_new)) <= 0.9 * gnorm:
-                accepted = True  # float-saturated objective, gradient evidence
-                break
-            mu = min(4.0 * mu, _MU_MAX)
-            if evals >= max_evals:
-                break
-        if not accepted:
-            # objective is flat below the resolution of any damped step;
-            # from fresh damping a retry would repeat itself exactly
-            if mu_start == _MU_FRESH:
-                return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
-            mu = _MU_FRESH
-            continue
-
-        x, f, g = x_new, f_new, g_new
-        gnorm = float(np.linalg.norm(g))
+            if da < 0.0 and f_new <= f + f_noise:
+                lo, dlo = a, da
+            else:
+                hi, dhi = a, da
+            if hi is None:
+                a *= 2.0
+                continue
+            width = hi - lo
+            a = lo - dlo * width / (dhi - dlo) if dhi > dlo else lo + 0.5 * width
+            a = min(max(a, lo + 0.1 * width), hi - 0.1 * width)
+        else:
+            break  # no trial resolves progress along d: the float floor
+        x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
 
     return DescentResult(x, f, gnorm, evals, gnorm <= gtol)
 
@@ -158,7 +157,7 @@ def minimize_energy(
     gtol: float,
     max_evals: int,
 ) -> DescentResult:
-    """minimize_convex on (1/p) kern.energy(w) - <b, w>, damped by kern.quad_matrix.
+    """minimize_convex on (1/p) kern.energy(w) - <b, w>, shifted by kern.quad_matrix.
 
     Q is built once per call.  With x0 None the solve starts from the
     tie-free solution v of Q v = b, scaled to the objective's exact

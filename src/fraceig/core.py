@@ -191,9 +191,9 @@ class EnergyKernel:
         """SPD quadratic form of the kernel weights on the free cells.
 
         Q = 2 h^(2N) (diag(row sums + exterior sums) - K); w^T Q w is the
-        p=2-type energy with this kernel's exponent, and Q damps the
-        descent solves and gives their start.  Built anew on each access,
-        so the kernel keeps no n x n table beyond K_oo.
+        p=2-type energy with this kernel's exponent, and Q shifts the
+        Newton systems of the inner solves and gives their start.  Built
+        anew on each access, so the kernel keeps no n x n table beyond K_oo.
         """
         return self._laplacian(self.K_oo, 1.0, 2.0 * self.h2n, None)
 
@@ -303,7 +303,7 @@ class EnergyKernel:
         The assembly floor residual_floor with a 4x margin.  For p < 2 the
         polishing limit _REL_POLISH_FLOOR * ||b|| is taken when larger:
         near-tie pairs drive the Hessian's condition number there, in the
-        damped inner solves and the bordered Newton steps alike.  For
+        inner Newton solves and the bordered Newton steps alike.  For
         p >= 2 the pair weights stay bounded at ties and Newton reaches
         the computed floor.  Only the drivers apply it: first_eigenpair
         in its stop test and its fallback inner tolerance, solve_dirichlet

@@ -97,7 +97,7 @@ def solve_dirichlet(
     res = minimize_energy(kern, b, x0, gtol, cfg.max_iter_inner)
     # a stalled gradient at the float floor (assembly roundoff,
     # pair-difference granularity, or the relative polishing limit of the
-    # damped-Newton endgame) is not missing optimality; the floor is applied
+    # Newton endgame) is not missing optimality; the floor is applied
     # only after the run, since the energy identity and first-order checks
     # need polish below it where it is reachable
     if not res.converged and res.grad_norm > kern.gradient_floor(res.x, b_norm):

@@ -62,5 +62,21 @@ def box8():
     return build_domain(box_spec(1 / 8), t=4.0)
 
 
+@pytest.fixture
+def cho_calls(monkeypatch):
+    """A list that gains one entry per scipy.linalg.cho_factor call."""
+    import scipy.linalg
+
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    return calls
+
+
 def random_function(dom, rng) -> GridFunction:
     return GridFunction.from_omega(dom, rng.standard_normal(dom.n_omega))
