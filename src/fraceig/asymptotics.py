@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # configuration used when a check needs eigenvalues at their float floor
-_POLISH = {"tol": 5e-15, "inner_tol": 1e-12}
+_POLISH = {"tol": 5e-15}
 
 
 @dataclass
@@ -125,7 +125,7 @@ def s_sweep(
 
     def solve(s: float) -> Eigenpair:
         try:
-            return first_eigenpair(dom, FracParams(s=s, p=p, t=dom.t), cfg)
+            return first_eigenpair(dom, FracParams(s=s, p=p), cfg)
         except ConvergenceError as exc:
             if exc.partial is None:
                 raise
@@ -141,7 +141,7 @@ def s_sweep(
     functions = {}
     for s in s_values:
         pair = pairs[s]
-        dist_params = FracParams(s=min(s, s_base), p=p, t=dom.t)
+        dist_params = FracParams(s=min(s, s_base), p=p)
         dist = seminorm_distance(pair.eigenfunction, base_pair.eigenfunction, dist_params)
         rows.append(
             SweepRow(
@@ -245,7 +245,7 @@ def equivalence_check(
     the result.
     """
     dom = u.host
-    if params.t != 4.0 or dom.t != 4.0:
+    if dom.t != 4.0:
         raise ValueError("the equivalence split requires truncation t = 4")
     n, sp = dom.dim, params.s * params.p
     h, R = dom.h, dom.diameter_R

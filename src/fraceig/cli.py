@@ -34,6 +34,8 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VIOLATION = 4
 
 _WEIGHTED_TOL = 1e-10
+# most s values one --s-range may ask for; each costs one eigen solve
+_MAX_S_VALUES = 10000
 
 
 # solver flags, each with the SolverConfig field it sets
@@ -44,8 +46,7 @@ _SOLVER_FLAGS = {
     "--max-iter-inner": ("max_iter_inner", int),
     "--seed": ("seed", int),
 }
-_INNER_FLAGS = ("--inner-tol", "--max-iter-inner")
-_EIGEN_FLAGS = ("--tol", "--max-iter") + _INNER_FLAGS
+_EIGEN_FLAGS = ("--tol", "--max-iter")
 
 
 def _add_common(
@@ -80,7 +81,7 @@ def _domain(args):
 
 def cmd_eig(args) -> int:
     dom = _domain(args)
-    params = FracParams(s=args.s, p=args.p, t=args.t)
+    params = FracParams(s=args.s, p=args.p)
     cfg = _config(args)
     try:
         pair = first_eigenpair(dom, params, cfg)
@@ -122,8 +123,13 @@ def _parse_s_values(args) -> list[float]:
         lo_s, hi_s, step = (float(v) for v in args.s_range.split(":"))
         if not (np.isfinite([lo_s, hi_s, step]).all() and step > 0 and hi_s >= lo_s):
             raise ValueError(f"bad s range {args.s_range!r}: needs finite start <= stop, step > 0")
-        count = int(round((hi_s - lo_s) / step)) + 1
-        values = [round(lo_s + i * step, 12) for i in range(count)]
+        count = np.round((hi_s - lo_s) / step) + 1  # a float: inf when the quotient overflows
+        if count > _MAX_S_VALUES:
+            raise ValueError(
+                f"s range {args.s_range!r} holds {count:.0f} values, more than "
+                f"{_MAX_S_VALUES} (one eigen solve each)"
+            )
+        values = [round(lo_s + i * step, 12) for i in range(int(count))]
     if not values:
         raise ValueError("no s values given")
     return values
@@ -152,20 +158,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_poincare(args) -> int:
     dom = _domain(args)
-    params = FracParams(s=args.s, p=args.p, t=args.t)
+    params = FracParams(s=args.s, p=args.p)
     value = poincare_constant(dom, params)
     print(repr(value))
     if args.out:
-        save_json({"s": params.s, "p": params.p, "t": params.t, "constant": value}, args.out)
+        save_json({"s": params.s, "p": params.p, "t": dom.t, "constant": value}, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     dom = _domain(args)
-    params = FracParams(s=args.s, p=args.p, t=args.t)
+    params = FracParams(s=args.s, p=args.p)
     cfg = _config(args, args.threads)
     results = run_suite(args.suite, dom, params, cfg)
-    report = report_dict(args.suite, results, params, cfg)
+    report = {**report_dict(args.suite, results, params, cfg), "t": dom.t}
     save_json(report, args.out)
     for check in results:
         status = "pass" if check.passed else "FAIL"
@@ -175,7 +181,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     dom = _domain(args)
-    params = FracParams(s=args.s, p=args.p, t=args.t)
+    params = FracParams(s=args.s, p=args.p)
     pair = p2_oracle(dom, params)
     save_eigenpair(pair, params, args.out)
     print(repr(pair.lam))
@@ -200,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(func=cmd_eig)
 
     p_solve = command("solve", "Dirichlet solve from a problem file")
-    _add_common(p_solve, with_params=False, solver=_INNER_FLAGS)
+    _add_common(p_solve, with_params=False, solver=("--inner-tol", "--max-iter-inner"))
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--out", default="solution.json")
     p_solve.add_argument("--binary", action="store_true", help="write binary values")

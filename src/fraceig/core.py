@@ -158,10 +158,6 @@ class EnergyKernel:
     """
 
     def __init__(self, dom: GridDomain, params: FracParams):
-        if dom.t != params.t:
-            raise ValueError(
-                f"domain truncation t={dom.t} does not match params.t={params.t}"
-            )
         self.dom = dom
         self.params = params
         self.exponent = dom.dim + params.s * params.p
@@ -361,7 +357,7 @@ _KERNELS: "WeakKeyDictionary[GridDomain, dict]" = WeakKeyDictionary()
 
 def energy_kernel(dom: GridDomain, params: FracParams) -> EnergyKernel:
     table = _KERNELS.setdefault(dom, {})
-    key = (params.s, params.p, params.t)
+    key = (params.s, params.p)
     kern = table.get(key)
     if kern is None:
         kern = EnergyKernel(dom, params)
@@ -415,8 +411,6 @@ def apply_operator(u: GridFunction, params: FracParams) -> GridFunction:
 def nonlocal_gradient(u: GridFunction, params: FracParams) -> PairFunction:
     """Pairwise difference quotient (u_i - u_j)/|x_i - x_j|^(N/p+s)."""
     dom = u.host
-    if dom.t != params.t:
-        raise ValueError("domain truncation does not match params.t")
     cells = np.arange(dom.n_cells)
     w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "the nonlocal gradient")
     vals = (u.values[:, None] - u.values[None, :]) * w
@@ -429,8 +423,6 @@ def nonlocal_divergence(phi: PairFunction, params: FracParams) -> NDArray:
     Defined on every ball cell (not only Omega); symmetric pair data cancels.
     """
     dom = phi.host
-    if dom.t != params.t:
-        raise ValueError("domain truncation does not match params.t")
     cells = np.arange(dom.n_cells)
     w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "the nonlocal divergence")
     hn = dom.h**dom.dim

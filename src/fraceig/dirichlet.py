@@ -53,8 +53,6 @@ class DirichletProblem:
             raise ValueError("f must be finite")
         if self.F is not None and self.F.host is not self.host:
             raise ValueError("pair datum lives on a different host")
-        if self.host.t != self.params.t:
-            raise ValueError("domain truncation does not match params.t")
 
     def effective_datum(self) -> NDArray:
         """Cell datum f + (nonlocal divergence of F) restricted to Omega."""

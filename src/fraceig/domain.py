@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -165,8 +166,8 @@ def json_field(d: dict, key: str, convert: Callable = float, default=None):
 
 
 def _as_int(value) -> int:
-    """An integral number as int; a bool or a fractional value is refused."""
-    if isinstance(value, bool):
+    """An integral number as int; a bool, a string or a fractional value is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected an integer, got {value!r}")
     number = float(value)
     if not number.is_integer():
@@ -229,8 +230,8 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
@@ -477,8 +478,8 @@ def build_domain(spec: DomainSpec, t: float = 4.0) -> GridDomain:
     (mask shapes anchor at their stated origin), so lattice-aligned shapes
     tile exactly.  Identical specs produce identical cell orderings.
     """
-    if not t > 1.0:
-        raise ValueError(f"truncation factor t must exceed 1, got {t}")
+    if not 1.0 < t < math.inf:
+        raise ValueError(f"truncation factor t must exceed 1 and be finite, got {t}")
     h = spec.h
     shape = _parse_shape(spec.shape, spec.dim, h)
 

@@ -52,6 +52,8 @@ _ORACLE_MAX_FREE = 4096
 _NEWTON_SWITCH = 1e-2
 # slack for float noise in monotonicity checks near the iteration floor
 _TRACE_SLACK = 1e-11
+# objective evaluations allowed to one inner solve
+_INNER_BUDGET = 10000
 
 
 @dataclass
@@ -103,23 +105,23 @@ def _normalized(w: NDArray, p: float, hn: float) -> NDArray | None:
 
 
 def _inverse_power_step(
-    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool,
-    cfg: SolverConfig, floor: float,
+    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool, floor: float
 ) -> NDArray:
     """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) h^N.
 
-    The inner solve asks for no finer gradient than floor (0.0: no floor).
+    The inner solve stops at gradient norm 1e-2 min(1, res) ||b|| for the
+    outer residual res, but asks for no finer gradient than floor (0.0:
+    no floor), within _INNER_BUDGET objective evaluations.
     """
     p, hn = kern.params.p, kern.hn
     b = lam * phi_p(u_om, p) * hn
     # inexact inverse power: early inner solves only need to track the
     # outer residual; the tolerance tightens as the eigenpair settles
-    gtol_rel = max(cfg.inner_tol, min(1e-2, 1e-2 * res))
     b_norm = float(np.linalg.norm(b))
-    gtol = max(gtol_rel * max(b_norm, 1e-300), floor)
+    gtol = max(1e-2 * min(1.0, res) * max(b_norm, 1e-300), floor)
     # the indicator start carries exact pair ties; minimize_energy's
     # quadratic-form start gives a smooth first inner iterate instead
-    inner = minimize_energy(kern, b, None if first else u_om, gtol, cfg.max_iter_inner)
+    inner = minimize_energy(kern, b, None if first else u_om, gtol, _INNER_BUDGET)
     u_new = _normalized(np.abs(inner.x), p, hn)
     if u_new is None:
         raise ConvergenceError("inner solve collapsed to zero", partial=None)
@@ -184,7 +186,8 @@ def first_eigenpair(
     at the floor, or at the float fixed point: a step that leaves u
     unchanged or raises lambda by over 1e-12 relative, which is refused.
     converged is the floor test at exit; otherwise ConvergenceError
-    carries the partial eigenpair.
+    carries the partial eigenpair.  Of cfg, only tol and max_iter_outer
+    are read; _inverse_power_step sets each inner solve.
     """
     if dom.n_omega == 0:
         raise ValueError("domain has no Omega cell")
@@ -230,7 +233,7 @@ def first_eigenpair(
                 if floor is None:
                     break
         if u_new is None:
-            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg, floor)
+            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, floor)
             lam_new, grad_new, res_new = _evaluate(kern, u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate

@@ -2,35 +2,33 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class FracParams:
-    """Exponent triple (s, p, t) of a truncated fractional energy.
+    """Exponent pair (s, p) of a truncated fractional energy.
+
+    The truncation factor t is a property of the grid (GridDomain.t, set
+    by build_domain), not of the energy.
 
     Attributes
     ----------
     s : float
         Differentiability order, 0 < s < 1.
     p : float
-        Integrability exponent, p > 1.
-    t : float
-        Truncation factor of the enclosing ball (its diameter is t times
-        the domain diameter), t > 1.  Defaults to 4.
+        Integrability exponent, finite and p > 1.
     """
 
     s: float
     p: float
-    t: float = 4.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not self.t > 1.0:
-            raise ValueError(f"t must exceed 1, got {self.t}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must exceed 1 and be finite, got {self.p}")
 
     @property
     def q(self) -> float:
@@ -43,7 +41,8 @@ class SolverConfig:
     """Iteration limits, tolerances and reproducibility knobs.
 
     tol is the relative stopping tolerance on both the eigenvalue change
-    and the weak residual; inner_tol controls the convex inner solves.
+    and the weak residual; the eigen solver sets its own inner solves, and
+    inner_tol and max_iter_inner bound the convex solve of solve_dirichlet.
     seed feeds every randomized property check; threads sets the worker
     count of s_sweep (one eigensolve per s) and of the far-field
     quadrature of the equivalence suite, and never changes a result.

@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import SweepReport
 from .core import GridFunction, PairFunction
 from .dirichlet import DirichletProblem
-from .domain import DomainSpec, GridDomain, as_floats, check_dense_pairs, json_field
+from .domain import DomainSpec, GridDomain, _as_int, as_floats, check_dense_pairs, json_field
 from .eigen import Eigenpair
 from .params import FracParams
 
@@ -63,7 +63,8 @@ def _header(host: GridDomain) -> dict:
 
 
 def _check_header(head: dict, host: GridDomain) -> None:
-    dim, counts = json_field(head, "dim", int), json_field(head, "counts", list)
+    dim = json_field(head, "dim", _as_int)
+    counts = json_field(head, "counts", lambda v: [_as_int(c) for c in v])
     if dim != host.dim or counts != list(host.counts):
         raise ValueError("grid-function header does not match the host lattice")
     # written as not (... <= ...) so that a NaN h fails the test
@@ -106,7 +107,7 @@ def save_eigenpair(pair: Eigenpair, params: FracParams, path) -> None:
         "lambda": pair.lam,
         "s": params.s,
         "p": params.p,
-        "t": params.t,
+        "t": host.t,
         "h": host.h,
         "iterations": pair.iterations,
         "residual": pair.residual,
@@ -127,9 +128,10 @@ def save_trace_csv(pair: Eigenpair, path) -> None:
 
 def load_problem(path, host: GridDomain) -> tuple[DirichletProblem, FracParams]:
     data = _load_object(path, "problem file")
-    params = FracParams(
-        s=json_field(data, "s"), p=json_field(data, "p"), t=json_field(data, "t", default=4.0)
-    )
+    params = FracParams(s=json_field(data, "s"), p=json_field(data, "p"))
+    t = json_field(data, "t", default=4.0)
+    if t != host.t:
+        raise ValueError(f"problem file truncation t={t} does not match the domain's t={host.t}")
     f = json_field(data, "f", as_floats)
     if f.ndim == 0:  # one value for every Omega cell
         f = np.full(host.n_omega, float(f))
@@ -149,7 +151,7 @@ def save_problem(prob: DirichletProblem, path) -> None:
         "F": "none" if prob.F is None else prob.F.values.tolist(),
         "s": prob.params.s,
         "p": prob.params.p,
-        "t": prob.params.t,
+        "t": prob.host.t,
     }
     save_json(payload, path)
 

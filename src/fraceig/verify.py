@@ -236,7 +236,7 @@ def run_suite(
             if name == "holder" and not params.s * params.p > dom.dim:
                 results.append(CheckResult("holder", True, 0.0, "skipped: requires s p > N"))
                 continue
-            if name == "equivalence" and params.t != 4.0:
+            if name == "equivalence" and dom.t != 4.0:
                 results.append(CheckResult("equivalence", True, 0.0, "skipped: requires t = 4"))
                 continue
             results.extend(_RUNNERS[name](dom, params, cfg, rng))
@@ -247,11 +247,11 @@ def run_suite(
 
 
 def report_dict(suite: str, results: list[CheckResult], params: FracParams, cfg: SolverConfig) -> dict:
+    """The suite's checks with the exponents and seed they ran under."""
     return {
         "suite": suite,
         "s": params.s,
         "p": params.p,
-        "t": params.t,
         "seed": cfg.seed,
         "all_passed": all(r.passed for r in results),
         "checks": [dataclasses.asdict(r) for r in results],

@@ -49,7 +49,7 @@ class TestSSweep:
         assert dists[0] >= dists[1] >= dists[2] == 0.0
 
     def test_failure_rows_flagged(self, interval16):
-        cfg = SolverConfig(tol=1e-30, max_iter_outer=1, inner_tol=1e-1, max_iter_inner=3)
+        cfg = SolverConfig(tol=1e-30, max_iter_outer=1)
         report = s_sweep(interval16, 3.0, [0.3, 0.5], 0.3, cfg)
         assert any(not r.converged for r in report.rows)
 
@@ -126,7 +126,7 @@ class TestEquivalenceCheck:
         dom3 = build_domain(interval_spec(1 / 16), t=3.0)
         u = GridFunction.indicator(dom3)
         with pytest.raises(ValueError, match="t = 4"):
-            equivalence_check(u, FracParams(s=0.5, p=2.0, t=3.0))
+            equivalence_check(u, FracParams(s=0.5, p=2.0))
 
     def test_2d_split(self, box8):
         rng = np.random.default_rng(51)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from fraceig import FracParams, build_domain, p2_oracle, poincare_constant
-from fraceig.cli import main
+from fraceig.cli import _parse_s_values, main
 from fraceig.serialize import load_domain_spec, save_domain_spec
 
 from conftest import box_spec, interval_spec
@@ -116,6 +117,16 @@ class TestSolve:
         assert code == 2
         assert f"field {next(iter(field))!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid_t, file_t", [(4.0, 3.0), (3.0, 4.0)])
+    def test_problem_t_mismatch_exits_2(self, domain_file, tmp_path, capsys, grid_t, file_t):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"f": 1.0, "s": 0.5, "p": 2.0, "t": file_t}))
+        code = run(["solve", "--domain", domain_file, "--t", grid_t, "--problem", prob,
+                    "--out", tmp_path / "x.json"])
+        assert code == 2
+        assert "does not match the domain's t" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("field", ["f", "s", "p"])
     def test_missing_problem_field_exits_2(self, domain_file, tmp_path, capsys, field):
         prob = tmp_path / "prob.json"
@@ -187,6 +198,18 @@ class TestSweep:
         assert code == 2
         assert "bad s range" in capsys.readouterr().err
 
+    def test_huge_s_range_refused_before_it_is_built(self):
+        # 0.1:0.9:8e-7 holds 1,000,001 values, one eigen solve each
+        with pytest.raises(ValueError, match="1000001 values"):
+            _parse_s_values(argparse.Namespace(s_list=None, s_range="0.1:0.9:8e-7"))
+        assert len(_parse_s_values(argparse.Namespace(s_list=None, s_range="0.1:0.9:8.0008e-5"))) == 10000
+
+    def test_huge_s_range_exits_2(self, domain_file, tmp_path, capsys):
+        code = run(["sweep", "--domain", domain_file, "--p", 2, "--s-range=0.1:0.9:1e-12",
+                    "--s-base", 0.1, "--out", tmp_path / "s"])
+        assert code == 2
+        assert "800000000001 values" in capsys.readouterr().err
+
     def test_needs_exactly_one_s_source(self, domain_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--domain", domain_file, "--p", 2, "--s-base", 0.3])
@@ -200,8 +223,7 @@ class TestSweep:
     def test_nonconverged_rows_exit_3(self, domain_file, tmp_path):
         code = run(["sweep", "--domain", domain_file, "--p", 3,
                     "--s-list", "0.3,0.5", "--s-base", 0.3,
-                    "--tol", 1e-30, "--max-iter", 1, "--max-iter-inner", 3,
-                    "--inner-tol", 0.1, "--out", tmp_path / "sw"])
+                    "--tol", 1e-30, "--max-iter", 1, "--out", tmp_path / "sw"])
         assert code == 3
         assert (tmp_path / "sw.csv").exists()  # partial report still written
 
@@ -213,6 +235,24 @@ class TestPoincare:
         printed = float(capsys.readouterr().out.strip())
         dom = build_domain(load_domain_spec(domain_file), t=4.0)
         assert printed == poincare_constant(dom, FracParams(s=0.5, p=2.0))
+
+    @pytest.mark.parametrize(
+        "extra, domain_text, field",
+        [
+            (["--p", "inf"], None, "p"),
+            (["--p", 2, "--t", "inf"], None, "t"),
+            (["--p", 2], '{"dim": 1, "h": 1e999, "shape": {"type": "interval", "a": 0, "b": 1}}', "h"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, domain_file, tmp_path, capsys, extra, domain_text, field):
+        if domain_text is not None:
+            domain_file = tmp_path / "domain.json"
+            domain_file.write_text(domain_text)
+        code = run(["poincare", "--domain", domain_file, "--s", 0.5] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must" in captured.err and "finite" in captured.err
 
     @pytest.mark.parametrize("text", ["[1, 2]", "[1]"])
     def test_domain_not_an_object_exits_2(self, tmp_path, capsys, text):
@@ -269,6 +309,8 @@ class TestSolverFlags:
             (["eig", "--s", 0.5, "--p", 2], "--seed"),
             (["sweep", "--p", 2, "--s-list", 0.5, "--s-base", 0.5], "--seed"),
             (["solve", "--problem", "problem.json"], "--max-iter"),
+            (["eig", "--s", 0.5, "--p", 2], "--inner-tol"),
+            (["sweep", "--p", 2, "--s-list", 0.5, "--s-base", 0.5], "--max-iter-inner"),
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, domain_file, capsys, args, flag):
@@ -283,6 +325,35 @@ class TestSolverFlags:
                     "--out", tmp_path / "v.json"])
         assert code == 0
         assert json.loads((tmp_path / "v.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "args", [["solve", "--problem"], ["verify", "--s", 0.5, "--p", 1.5, "--suite", "comparison"]]
+    )
+    def test_inner_flags_reach_the_dirichlet_solve(self, domain_file, tmp_path, capsys, args):
+        # one objective evaluation cannot solve a nonzero datum
+        if args[0] == "solve":
+            prob = tmp_path / "prob.json"
+            prob.write_text(json.dumps({"f": 1.0, "s": 0.5, "p": 1.5}))
+            args = args + [prob]
+        code = run(args + ["--domain", domain_file, "--inner-tol", 1e-9,
+                           "--max-iter-inner", 1, "--out", tmp_path / "x.json"])
+        assert code == 3
+        assert "Dirichlet solve stalled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eig", "--s", 0.5, "--p", 2],
+        ["oracle", "--s", 0.5, "--p", 2],
+        ["poincare", "--s", 0.5, "--p", 2],
+        ["verify", "--s", 0.5, "--p", 2, "--suite", "adjoint"],
+    ],
+)
+def test_output_t_is_the_grid_t(domain_file, tmp_path, args):
+    out = tmp_path / "out.json"
+    assert run(args + ["--domain", domain_file, "--t", 3, "--out", out]) == 0
+    assert json.loads(out.read_text())["t"] == 3.0
 
 
 class TestVerify:

@@ -145,11 +145,6 @@ class TestGagliardoEnergy:
         u = random_function(interval16, rng)
         assert gagliardo_energy(abs(u), PARAMS) <= gagliardo_energy(u, PARAMS) * (1 + 1e-12)
 
-    def test_host_params_mismatch(self, interval16):
-        u = GridFunction.indicator(interval16)
-        with pytest.raises(ValueError, match="truncation"):
-            gagliardo_energy(u, FracParams(s=0.5, p=2.0, t=3.0))
-
 
 @settings(max_examples=25, deadline=None)
 @given(c=st.floats(min_value=-8.0, max_value=8.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3))

@@ -186,8 +186,6 @@ class TestSolveDirichlet:
             DirichletProblem(interval16, P2, np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
             DirichletProblem(interval16, P2, np.full(interval16.n_omega, np.nan))
-        with pytest.raises(ValueError, match="truncation"):
-            DirichletProblem(interval16, FracParams(s=0.5, p=2.0, t=3.0), np.zeros(interval16.n_omega))
 
 
 class TestComparisonCheck:

@@ -1,10 +1,28 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fraceig import DomainSpec, FracParams, build_domain, dilate, poincare_constant
+from fraceig import (
+    DirichletProblem,
+    DomainSpec,
+    FracParams,
+    GridFunction,
+    PairFunction,
+    apply_operator,
+    build_domain,
+    dilate,
+    first_eigenpair,
+    gagliardo_energy,
+    nonlocal_divergence,
+    nonlocal_gradient,
+    p2_oracle,
+    poincare_constant,
+    s_sweep,
+    solve_dirichlet,
+)
 
 from _oracles import max_pairwise_distance, poincare_search
 from conftest import box_spec, interval_spec, union_spec
@@ -115,17 +133,64 @@ class TestBuildDomain:
         shape = {"type": "interval", "a": 0.0, "b": 1.0}
         spec = DomainSpec.from_dict({"dim": 1.0, "h": 0.1, "shape": shape})
         assert spec.dim == 1 and type(spec.dim) is int
-        for dim in (1.9, True, False, None):
+        for dim in (1.9, True, False, None, "1"):
             with pytest.raises(ValueError, match="field 'dim'"):
                 DomainSpec.from_dict({"dim": dim, "h": 0.1, "shape": shape})
         with pytest.raises(ValueError, match="missing required field 'h'"):
             DomainSpec.from_dict({"dim": 1, "shape": shape})
 
-    @pytest.mark.parametrize("counts", [[4.9], [True]])
+    @pytest.mark.parametrize("counts", [[4.9], [True], ["4"]])
     def test_mask_counts_must_be_integral(self, counts):
         mask = {"type": "mask", "origin": [0.125], "counts": counts, "cells": [1, 1, 1, 1]}
         with pytest.raises(ValueError, match="field 'counts'"):
             build_domain(DomainSpec(dim=1, h=0.25, shape=mask), t=4.0)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FracParams(s=0.5, p=math.inf), "p"),
+            (lambda: DomainSpec(dim=1, h=math.inf, shape={"type": "interval", "a": 0, "b": 1}), "h"),
+            (lambda: DomainSpec.from_dict(
+                json.loads('{"dim": 1, "h": 1e999, "shape": {"type": "interval", "a": 0, "b": 1}}')), "h"),
+            (lambda: build_domain(interval_spec(1 / 8), t=math.inf), "t"),
+        ],
+    )
+    def test_non_finite_input_refused(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must .* finite"):
+            build()
+
+
+class TestTruncationFromTheGrid:
+    def test_t3_grid_serves_every_solver(self):
+        # (s, p) alone name the energy; every layer reads t from the grid
+        dom3 = build_domain(interval_spec(1 / 16), t=3.0)
+        dom4 = build_domain(interval_spec(1 / 16), t=4.0)
+        params = FracParams(s=0.5, p=2.0)
+
+        pair = first_eigenpair(dom3, params)
+        assert pair.converged
+        assert pair.lam == pytest.approx(p2_oracle(dom3, params).lam, rel=1e-10)
+
+        rng = np.random.default_rng(80)
+        u_om = rng.standard_normal(dom3.n_omega)
+        u3 = GridFunction.from_omega(dom3, u_om)
+        # the smaller ball drops far pairs, so the energy drops
+        assert gagliardo_energy(u3, params) < gagliardo_energy(GridFunction.from_omega(dom4, u_om), params)
+
+        f = rng.standard_normal(dom3.n_omega)
+        w = solve_dirichlet(DirichletProblem(dom3, params, f))
+        residual = apply_operator(w, params).omega_values / params.p - f * dom3.h
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(f * dom3.h)
+
+        phi = PairFunction(rng.standard_normal((dom3.n_cells, dom3.n_cells)), dom3)
+        lhs = float(np.sum(u3.values * nonlocal_divergence(phi, params))) * dom3.h
+        rhs = float(np.sum(phi.values * nonlocal_gradient(u3, params).values)) * dom3.h**2
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+        report = s_sweep(dom3, 2.0, [0.4, 0.5], 0.5)
+        assert report.t == 3.0
+        assert all(r.converged for r in report.rows)
+        assert report.row_at(0.5).lam == pytest.approx(pair.lam, rel=1e-10)
 
 
 class TestDilate:
@@ -231,4 +296,4 @@ class TestPoincareConstant:
         # complement cells exist but no radius-h ball stays inside the ball
         dom = build_domain(interval_spec(1 / 2), t=1.5)
         with pytest.raises(ValueError, match="no candidate ball"):
-            poincare_constant(dom, FracParams(s=0.5, p=2.0, t=1.5))
+            poincare_constant(dom, FracParams(s=0.5, p=2.0))

@@ -170,7 +170,7 @@ class TestFirstEigenpair:
 
     def test_nondefault_truncation(self):
         dom3 = build_domain(interval_spec(1 / 32), t=3.0)
-        params = FracParams(s=0.5, p=2.0, t=3.0)
+        params = FracParams(s=0.5, p=2.0)
         pair = first_eigenpair(dom3, params)
         oracle = p2_oracle(dom3, params)
         assert pair.lam == pytest.approx(oracle.lam, rel=1e-6)
@@ -189,12 +189,12 @@ class TestFirstEigenpair:
         assert partial.stop_reason == "budget"
         assert len(partial.trace) >= 2
 
-    def test_fixed_point_above_floor_is_stalled(self, interval16):
+    def test_fixed_point_above_floor_is_stalled(self, interval16, monkeypatch):
         # one evaluation per inner solve returns each start unchanged, so
         # the iteration reaches its float fixed point far above the floor
-        cfg = SolverConfig(max_iter_inner=1)
+        monkeypatch.setattr(eigen_mod, "_INNER_BUDGET", 1)
         with pytest.raises(ConvergenceError, match="stalled above the float floor") as exc_info:
-            first_eigenpair(interval16, FracParams(s=0.5, p=3.0), cfg)
+            first_eigenpair(interval16, FracParams(s=0.5, p=3.0))
         partial = exc_info.value.partial
         assert partial.stop_reason == "stalled"
         assert not partial.converged and partial.residual > 1e-3
@@ -262,15 +262,14 @@ class TestFirstEigenpair:
         assert pair.residual <= 1e-6
 
     def test_restart_from_eigenfunction_stops_at_once(self, interval16, box8):
-        # a loose inner solve from the quadratic-form start raises lambda;
-        # that step is refused and the eigenfunction kept
+        # a restart at the eigenfunction is already at its floor: it stops
+        # within one outer step and never raises lambda
         for dom, p in ((interval16, 3.0), (box8, 1.5)):
             params = FracParams(s=0.5, p=p)
             first = first_eigenpair(dom, params)
-            for cfg in (SolverConfig(), SolverConfig(inner_tol=0.5)):
-                again = first_eigenpair(dom, params, cfg, start=first.eigenfunction)
-                assert again.converged and again.iterations <= 1
-                assert again.lam <= first.lam * (1.0 + 1e-12)
+            again = first_eigenpair(dom, params, start=first.eigenfunction)
+            assert again.converged and again.iterations <= 1
+            assert again.lam <= first.lam * (1.0 + 1e-12)
 
     def test_empty_start_rejected(self, interval16):
         zero = GridFunction.from_omega(interval16, np.zeros(interval16.n_omega))

@@ -88,6 +88,27 @@ def test_grid_function_nan_h_rejected(tmp_path, interval16):
         load_grid_function(path, interval16)
 
 
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize(
+    "field, value", [("dim", 1.9), ("dim", True), ("dim", "1"), ("counts", [40.5]), ("counts", "40")]
+)
+def test_grid_function_non_integer_header_refused(tmp_path, interval8, binary, field, value):
+    path = tmp_path / "u.bin"
+    save_grid_function(GridFunction.indicator(interval8), path, binary=binary)
+    if binary:
+        head, values = path.read_bytes().split(b"\n", 1)
+        head = json.loads(head)
+    else:
+        head = json.loads(path.read_text())
+    head[field] = value
+    if binary:
+        path.write_bytes(json.dumps(head).encode() + b"\n" + values)
+    else:
+        path.write_text(json.dumps(head))
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        load_grid_function(path, interval8)
+
+
 @pytest.mark.parametrize("field", ["dim", "counts", "h", "t", "values"])
 def test_grid_function_missing_field_named(tmp_path, interval16, field):
     path = tmp_path / "u.json"
