@@ -141,27 +141,17 @@ def monotonicity_certificate(
     """Monotone-operator pairing and its lower bound.
 
     pairing is the weak-form double sum <u - v, A u - A v>; for p >= 2 the
-    bound is 2^(2-p) energy(u - v) and pairing >= bound holds; for
-    1 < p < 2 the bound degenerates to 0 and the pairwise weighted
-    inequality is checked on every active pair instead.
+    bound is 2^(2-p) energy(u - v), and pairing >= bound holds; for
+    1 < p < 2 the bound degenerates to 0 (psmall_pairwise_gap gives the
+    pairwise weighted inequality instead).  The caller judges the margin.
     """
     if u.host is not v.host:
         raise ValueError("grid functions live on different hosts")
     kern = energy_kernel(u.host, params)
     pairing = kern.monotone_pairing(u.omega_values, v.omega_values)
-    p = params.p
-    if p >= 2.0:
-        bound = 2.0 ** (2.0 - p) * kern.energy(u.omega_values - v.omega_values)
-        if pairing < bound * (1.0 - 1e-12) - 1e-300:
-            raise ArithmeticError("monotonicity bound violated beyond float noise")
-        return pairing, bound
-    bound = 0.0
-    if pairing < -1e-12 * max(abs(pairing), 1.0):
-        raise ArithmeticError("operator pairing went negative")
-    worst, scale = kern.psmall_pairwise_gap(u.omega_values, v.omega_values)
-    if worst > 1e-12 * max(scale, 1e-300):
-        raise ArithmeticError("pairwise monotonicity inequality violated")
-    return pairing, bound
+    if params.p < 2.0:
+        return pairing, 0.0
+    return pairing, 2.0 ** (2.0 - params.p) * kern.energy(u.omega_values - v.omega_values)
 
 
 def psmall_pairwise_gap(

@@ -146,10 +146,22 @@ class _MaskShape:
         return out
 
 
-as_floats = functools.partial(np.asarray, dtype=float)
+def _as_float(value) -> float:
+    """A number as float; a bool, a string or any other non-number is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
-def json_field(d: dict, key: str, convert: Callable = float, default=None):
+def as_floats(value) -> NDArray:
+    """A number or nested list of numbers as a float array; strings and bools are refused."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {value!r:.60}")
+    return arr.astype(float, copy=False)
+
+
+def json_field(d: dict, key: str, convert: Callable = _as_float, default=None):
     """convert(d[key]), or convert(default) for an absent key when a default
     is given; an absent required field or a value of the wrong type raises
     ValueError naming the field."""
@@ -175,6 +187,14 @@ def _as_int(value) -> int:
     return int(number)
 
 
+def _finite_field(d: dict, key: str, convert: Callable = _as_float):
+    """json_field for a shape bound, which must be finite."""
+    value = json_field(d, key, convert)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"shape field {key!r} must be finite, got {value}")
+    return value
+
+
 def _parse_shape(d: dict, dim: int, h: float):
     if not isinstance(d, dict):
         raise ValueError(f"a shape must be a JSON object, got {type(d).__name__}")
@@ -182,21 +202,21 @@ def _parse_shape(d: dict, dim: int, h: float):
     if kind == "interval":
         if dim != 1:
             raise ValueError("interval shapes require dim=1")
-        a, b = json_field(d, "a"), json_field(d, "b")
+        a, b = _finite_field(d, "a"), _finite_field(d, "b")
         if not b > a:
             raise ValueError(f"empty interval ({a},{b})")
         return _Interval(a, b)
     if kind == "box":
-        lo = json_field(d, "min", as_floats)
-        hi = json_field(d, "max", as_floats)
+        lo = _finite_field(d, "min", as_floats)
+        hi = _finite_field(d, "max", as_floats)
         if lo.shape != (dim,) or hi.shape != (dim,):
             raise ValueError("box bounds must match the domain dimension")
         if not np.all(hi > lo):
             raise ValueError("box has empty extent")
         return _Box(lo, hi)
     if kind == "ball":
-        c = json_field(d, "center", as_floats)
-        r = json_field(d, "radius")
+        c = _finite_field(d, "center", as_floats)
+        r = _finite_field(d, "radius")
         if c.shape != (dim,):
             raise ValueError("ball center must match the domain dimension")
         if not r > 0:
@@ -208,7 +228,7 @@ def _parse_shape(d: dict, dim: int, h: float):
             raise ValueError("union of no parts")
         return _UnionShape(parts)
     if kind == "mask":
-        origin = json_field(d, "origin", as_floats)
+        origin = _finite_field(d, "origin", as_floats)
         counts = json_field(d, "counts", lambda v: tuple(_as_int(c) for c in v))
         cells = json_field(d, "cells", lambda v: np.asarray(v, dtype=np.int8))
         if origin.shape != (dim,) or len(counts) != dim:

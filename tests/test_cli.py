@@ -108,7 +108,7 @@ class TestSolve:
         assert code == 2
         assert "must hold a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", [{"s": None}, {"t": None}])
+    @pytest.mark.parametrize("field", [{"s": None}, {"t": None}, {"s": "0.5"}])
     def test_problem_field_of_wrong_type_exits_2(self, domain_file, tmp_path, capsys, field):
         prob = tmp_path / "prob.json"
         prob.write_text(json.dumps({"f": 1.0, "s": 0.5, "p": 2.0, **field}))
@@ -269,6 +269,8 @@ class TestPoincare:
             ("h", {"h": [0.1]}),
             ("shape", {"shape": 5}),
             ("b", {"shape": {"type": "interval", "a": 0.0, "b": None}}),
+            ("h", {"h": "0.125"}),
+            ("a", {"shape": {"type": "interval", "a": "0", "b": "1"}}),
         ],
     )
     def test_domain_field_of_wrong_type_exits_2(self, tmp_path, capsys, field, spec):
@@ -278,6 +280,27 @@ class TestPoincare:
         code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
         assert code == 2
         assert f"field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, spec",
+        [
+            ("a", {"dim": 1, "shape": {"type": "interval", "a": -np.inf, "b": 1.0}}),
+            ("b", {"dim": 1, "shape": {"type": "interval", "a": 0.0, "b": np.nan}}),
+            ("max", {"dim": 2, "shape": {"type": "box", "min": [0.0, 0.0], "max": [1.0, np.inf]}}),
+            ("center", {"dim": 2, "shape": {"type": "ball", "center": [np.nan, 0.0], "radius": 1.0}}),
+            ("radius", {"dim": 2, "shape": {"type": "ball", "center": [0.0, 0.0], "radius": np.inf}}),
+            ("origin", {"dim": 1, "shape": {"type": "mask", "origin": [-np.inf],
+                                            "counts": [4], "cells": [1, 1, 1, 1]}}),
+        ],
+    )
+    def test_non_finite_shape_bound_exits_2(self, tmp_path, capsys, field, spec):
+        # json writes the bounds as Infinity/NaN, which json also reads back
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({"h": 1 / 16, **spec}))
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"shape field {field!r} must be finite" in err and "coarse" not in err
 
     @pytest.mark.parametrize("dim", [1.9, True])
     def test_non_integer_dim_exits_2(self, tmp_path, capsys, dim):
@@ -371,6 +394,39 @@ class TestVerify:
         code = run(["verify", "--domain", domain_file, "--s", 0.5, "--p", 2,
                     "--suite", "poincare", "--out", out])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "s, p, names",
+        [
+            (0.75, 1.5, {"monotone-nonnegative", "monotone-pairwise", "holder"}),
+            (0.5, 2.0, {"monotone-bound", "monotone-equality"}),
+            (0.6, 3.0, {"monotone-bound", "holder"}),
+        ],
+    )
+    def test_all_suites_pass(self, domain_file, tmp_path, capsys, s, p, names):
+        out = tmp_path / "verify.json"
+        code = run(["verify", "--domain", domain_file, "--s", s, "--p", p,
+                    "--suite", "all", "--out", out])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["all_passed"] is True
+        checks = {c["name"] for c in report["checks"]}
+        assert names | {
+            "poincare-random", "poincare-eigen-bound", "clarkson", "adjoint", "comparison",
+            "scaling", "equivalence", "translation-finite", "holder",
+        } <= checks
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_violation_reports_fail_and_exits_4(self, domain_file, tmp_path, capsys, monkeypatch):
+        from fraceig.core import EnergyKernel
+
+        monkeypatch.setattr(EnergyKernel, "monotone_pairing", lambda self, u, v: -1.0)
+        out = tmp_path / "verify.json"
+        code = run(["verify", "--domain", domain_file, "--s", 0.5, "--p", 1.5,
+                    "--suite", "monotone", "--out", out])
+        assert code == 4
+        assert "FAIL monotone-nonnegative margin=-1.0" in capsys.readouterr().out
+        assert json.loads(out.read_text())["all_passed"] is False
 
     def test_unknown_suite_exits_2(self, domain_file, tmp_path):
         with pytest.raises(SystemExit) as exc:

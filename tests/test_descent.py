@@ -2,23 +2,39 @@ import numpy as np
 import pytest
 
 from fraceig import FracParams
-from fraceig._descent import _REG0, _solve_damped, minimize_convex
+from fraceig._descent import _newton_direction, minimize_convex, minimize_energy
 from fraceig.core import energy_kernel
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_damped_solve_keeps_inputs_and_matches_dense_solve(box8, p):
+def test_newton_direction_matches_dense_solve(box8, p, cho_calls):
     kern = energy_kernel(box8, FracParams(s=0.5, p=p))
     rng = np.random.default_rng(81)
     w = rng.standard_normal(box8.n_omega)
     g = rng.standard_normal(box8.n_omega)
-    h, quad = kern.hessian_omega(w), kern.quad_matrix
-    h_before, quad_before = h.tobytes(), quad.tobytes()
-    mu = 1e-3
-    d = _solve_damped(h, quad, g, mu)
-    assert h.tobytes() == h_before and quad.tobytes() == quad_before
-    dense = np.linalg.solve(h + (mu + _REG0) * quad, g)
+    h = kern.hessian_omega(w)
+    dense = np.linalg.solve(h, g)
+    d = _newton_direction(h, g)
+    assert len(cho_calls) == 1
     assert np.linalg.norm(d - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_newton_direction_refuses_an_indefinite_matrix():
+    h = np.diag([1.0, -1.0])
+    assert _newton_direction(h, np.ones(2)) is None
+
+
+def test_minimize_energy_builds_q_only_for_its_default_start(box8, monkeypatch):
+    kern = energy_kernel(box8, FracParams(s=0.5, p=1.5))
+    quad = type(kern).quad_matrix
+    reads = []
+    monkeypatch.setattr(type(kern), "quad_matrix",
+                        property(lambda self: reads.append(1) or quad.fget(self)))
+    b = np.random.default_rng(3).standard_normal(box8.n_omega) * kern.hn
+    res = minimize_energy(kern, b, None, 1e-10 * np.linalg.norm(b), 1000)
+    assert res.converged and len(reads) == 1
+    minimize_energy(kern, b, res.x, 1e-10 * np.linalg.norm(b), 1000)
+    assert len(reads) == 1
 
 
 def _separable(p, b):
@@ -38,7 +54,7 @@ def _separable(p, b):
 def test_reaches_closed_form_minimizer(p):
     b = np.random.default_rng(5).standard_normal(20)
     value_grad, hessian = _separable(p, b)
-    res = minimize_convex(value_grad, hessian, np.eye(20), np.ones(20), 1e-10, 1000)
+    res = minimize_convex(value_grad, hessian, np.ones(20), 1e-10, 1000)
     assert res.converged and res.grad_norm <= 1e-10
     exact = np.sign(b) * np.abs(b) ** (1.0 / (p - 1.0))
     assert np.linalg.norm(res.x - exact) <= 1e-10 * np.linalg.norm(exact)
@@ -49,7 +65,7 @@ def test_flat_objective_exits_before_the_budget():
     # along the Newton direction is accepted, not on its budget
     b = np.random.default_rng(5).standard_normal(20)
     value_grad, hessian = _separable(3.0, b)
-    res = minimize_convex(value_grad, hessian, np.eye(20), np.ones(20), 0.0, 10000)
+    res = minimize_convex(value_grad, hessian, np.ones(20), 0.0, 10000)
     assert not res.converged
     assert res.evaluations <= 200
     assert res.grad_norm <= 1e-14

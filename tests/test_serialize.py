@@ -109,6 +109,16 @@ def test_grid_function_non_integer_header_refused(tmp_path, interval8, binary, f
         load_grid_function(path, interval8)
 
 
+def test_grid_function_string_h_refused(tmp_path, interval16):
+    path = tmp_path / "u.json"
+    save_grid_function(GridFunction.indicator(interval16), path)
+    data = json.loads(path.read_text())
+    data["h"] = str(data["h"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="field 'h'"):
+        load_grid_function(path, interval16)
+
+
 @pytest.mark.parametrize("field", ["dim", "counts", "h", "t", "values"])
 def test_grid_function_missing_field_named(tmp_path, interval16, field):
     path = tmp_path / "u.json"
