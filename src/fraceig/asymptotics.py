@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from ._reduce import map_blocks, ordered_sum
 from .core import GridFunction, energy_kernel, gagliardo_energy
 from .domain import GridDomain, _lattice_axes, _lattice_points, dilate, unit_ball_volume
-from .eigen import Eigenpair, first_eigenpair, seminorm_distance
+from .eigen import Eigenpair, first_eigenpair
 from .errors import ConvergenceError
 from .params import FracParams, SolverConfig
 
@@ -52,6 +52,7 @@ class SweepRow:
     residual: float
     converged: bool
     stop_reason: str
+    group_order: int
 
 
 @dataclass
@@ -112,8 +113,11 @@ def s_sweep(
     """Solve the first eigenpair at every s and tabulate the results.
 
     Eigenfunction distances to the base eigenfunction use the exponent
-    min(s, s_base) so the seminorm stays finite on both arguments.  Failed
-    solves are kept as rows flagged not converged.
+    min(s, s_base) so the seminorm stays finite on both arguments.  Both
+    eigenfunctions are constant on the orbits of dom.symmetry, so the
+    distance is the folded kernel's energy of the orbit values, from the
+    kernel the eigen solve at min(s, s_base) built.  Failed solves are
+    kept as rows flagged not converged.
     """
     s_values = sorted(float(s) for s in s_list)
     if not s_values:
@@ -141,8 +145,9 @@ def s_sweep(
     functions = {}
     for s in s_values:
         pair = pairs[s]
-        dist_params = FracParams(s=min(s, s_base), p=p)
-        dist = seminorm_distance(pair.eigenfunction, base_pair.eigenfunction, dist_params)
+        kern = energy_kernel(dom, FracParams(s=min(s, s_base), p=p), fold=True)
+        diff = pair.eigenfunction - base_pair.eigenfunction
+        dist = kern.energy(diff.omega_values[kern.symmetry.reps]) ** (1.0 / p)
         rows.append(
             SweepRow(
                 s=s,
@@ -153,6 +158,7 @@ def s_sweep(
                 residual=pair.residual,
                 converged=pair.converged,
                 stop_reason=pair.stop_reason,
+                group_order=pair.group_order,
             )
         )
         functions[s] = pair.eigenfunction

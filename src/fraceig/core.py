@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._reduce import map_blocks, ordered_sum
-from .domain import GridDomain, check_dense_pairs
+from .domain import GridDomain, Symmetry, check_dense_pairs
 from .params import FracParams
 
 __all__ = [
@@ -155,9 +155,20 @@ class EnergyKernel:
     reductions, so their results are reproducible bit for bit.  The
     energy and its gradient come from one pass over the pairs
     (energy_grad); energy and grad_omega each return one part of it.
+
+    A folded kernel (fold=True) takes one unknown per orbit of
+    dom.symmetry: u = P a expands orbit values a to the Omega cells.  Its
+    pair table is W_ab = sum of K_ij over i in orbit a, j in orbit b, an
+    m x m table with zero diagonal (pairs inside an orbit have u_i = u_j),
+    its exterior sums are mult * k_out at the representatives, and mass =
+    h^N mult weighs each unknown in L^p.  The same code then gives the
+    energy E(P a), the gradient P^T grad E and the Hessian P^T H P.
+    Without fold, or on the trivial group, symmetry is the identity, mult
+    is 1 and the tables are the plain ones.  Norms of dual vectors (such
+    as gradients) in the cell metric are dual_norm(v) = ||v / sqrt(mult)||.
     """
 
-    def __init__(self, dom: GridDomain, params: FracParams):
+    def __init__(self, dom: GridDomain, params: FracParams, fold: bool = False):
         self.dom = dom
         self.params = params
         self.exponent = dom.dim + params.s * params.p
@@ -165,8 +176,24 @@ class EnergyKernel:
         self.h2n = self.hn * self.hn
 
         om = dom.omega_indices
-        self.K_oo = dom.pair_power(om, om, -self.exponent, "the energy kernel's Omega x Omega table")
-        self.k_out = dom.pair_power_sums(om, dom.other_indices, -self.exponent)
+        self.symmetry = dom.symmetry if fold else Symmetry.trivial(len(om))
+        reps, mult = self.symmetry.reps, self.symmetry.mult
+        self.mass = self.hn * mult
+        self._root_mult = np.sqrt(mult)
+        what = "the energy kernel's Omega x Omega table"
+        if self.symmetry.order == 1:
+            self.K_oo = dom.pair_power(om, om, -self.exponent, what)
+        else:
+            check_dense_pairs(len(reps), len(om), what)
+            w = mult[:, None] * dom.orbit_power_sums(om[reps], -self.exponent)
+            # W_ab = W_ba in exact arithmetic; LAPACK reads one triangle
+            self.K_oo = 0.5 * (w + w.T)
+            np.fill_diagonal(self.K_oo, 0.0)
+        self.k_out = mult * dom.pair_power_sums(om[reps], dom.other_indices, -self.exponent)
+
+    def dual_norm(self, v: NDArray) -> float:
+        """l2 norm in the cell metric of a dual vector over the unknowns."""
+        return float(np.linalg.norm(v / self._root_mult))
 
     def _laplacian(
         self, weights: NDArray, exterior: float | NDArray, scale: float, out: NDArray | None
@@ -272,7 +299,8 @@ class EnergyKernel:
         value moves a pair difference z by about eps*max|u|, whose image
         under the odd power jumps by (|z|+ulp)^(p-1) - |z|^(p-1); across
         near-tie pairs (z = 0 in exact arithmetic) this dwarfs linear
-        roundoff.  One pass over the pairs serves both.
+        roundoff.  One pass over the pairs serves both; both norms are
+        dual_norm.
         """
         p = self.params.p
         eps = np.finfo(float).eps
@@ -290,18 +318,18 @@ class EnergyKernel:
         zi_p = zi ** (p - 1.0)
         jump = np.concatenate(jumps) + ((zi + delta) ** (p - 1.0) - zi_p) * self.k_out
         env = np.concatenate(envs) + zi_p * self.k_out
-        granularity = float(np.linalg.norm(2.0 * self.h2n * jump))
-        return max(granularity, eps * float(np.linalg.norm(2.0 * self.h2n * env)))
+        granularity = self.dual_norm(2.0 * self.h2n * jump)
+        return max(granularity, eps * self.dual_norm(2.0 * self.h2n * env))
 
     def gradient_floor(self, w: NDArray, b_norm: float) -> float:
         """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.
 
-        The assembly floor residual_floor with a 4x margin.  For p < 2 the
-        polishing limit _REL_POLISH_FLOOR * ||b|| is taken when larger:
-        near-tie pairs drive the Hessian's condition number there, in the
-        inner Newton solves and the bordered Newton steps alike.  For
-        p >= 2 the pair weights stay bounded at ties and Newton reaches
-        the computed floor.  Only the drivers apply it: first_eigenpair
+        The assembly floor residual_floor with a 4x margin, in dual_norm.
+        For p < 2 the polishing limit _REL_POLISH_FLOOR * ||b|| is taken
+        when larger: near-tie pairs drive the Hessian's condition number
+        there, in the inner Newton solves and the bordered Newton steps
+        alike.  For p >= 2 the pair weights stay bounded at ties and Newton
+        reaches the computed floor.  Only the drivers apply it: first_eigenpair
         in its stop test, solve_dirichlet in its check after the run.
         """
         floor = 4.0 * self.residual_floor(w)
@@ -354,12 +382,15 @@ class EnergyKernel:
 _KERNELS: "WeakKeyDictionary[GridDomain, dict]" = WeakKeyDictionary()
 
 
-def energy_kernel(dom: GridDomain, params: FracParams) -> EnergyKernel:
+def energy_kernel(dom: GridDomain, params: FracParams, fold: bool = False) -> EnergyKernel:
+    """The cached EnergyKernel(dom, params, fold); on a grid whose group is
+    trivial, the folded and the plain kernel are one object."""
+    fold = fold and dom.symmetry.order > 1
     table = _KERNELS.setdefault(dom, {})
-    key = (params.s, params.p)
+    key = (params.s, params.p, fold)
     kern = table.get(key)
     if kern is None:
-        kern = EnergyKernel(dom, params)
+        kern = EnergyKernel(dom, params, fold)
         table[key] = kern
     return kern
 

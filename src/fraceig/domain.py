@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 __all__ = [
     "DomainSpec",
     "GridDomain",
+    "Symmetry",
     "build_domain",
     "check_dense_pairs",
     "dilate",
@@ -337,6 +338,26 @@ def _set_diameter(points: NDArray) -> float:
 # the grid domain
 
 
+class Symmetry(NamedTuple):
+    """Orbits of the Omega cells under a group of lattice symmetries.
+
+    orbit[k] is the orbit of the k-th Omega cell, reps[a] the Omega
+    position of orbit a's smallest member (reps ascend), mult[a] the
+    orbit's size (as float), and order the order of the group.
+    """
+
+    orbit: NDArray
+    reps: NDArray
+    mult: NDArray
+    order: int
+
+    @classmethod
+    def trivial(cls, n: int) -> "Symmetry":
+        """The identity group on n cells: every cell its own orbit."""
+        cells = np.arange(n)
+        return cls(cells, cells, np.ones(n), 1)
+
+
 @dataclass(frozen=True, eq=False)
 class GridDomain:
     """Cells of the enclosing ball with an Omega membership flag per cell.
@@ -412,6 +433,55 @@ class GridDomain:
         counts = np.asarray(self.counts)
         return np.ravel_multi_index((self.coords + counts - 1).T, tuple(2 * counts - 1))
 
+    @cached_property
+    def _cell_at(self) -> NDArray:
+        """Ball-cell index at each flat bounding-lattice index, -1 off the ball."""
+        cell_at = np.full(int(np.prod(self.counts)), -1)
+        cell_at[self.lattice_index] = np.arange(self.n_cells)
+        return cell_at
+
+    def lattice_symmetries(self) -> list[tuple[NDArray, NDArray]]:
+        """Every map coords -> coords @ A.T + c that maps the ball cells and
+        the Omega cells onto themselves, as (A, c); the identity comes first.
+
+        A runs over the signed axis permutations, and c maps the ball cells'
+        coordinate bounding box onto itself.  Each map is checked exactly on
+        the integer coords; such a map keeps every pair distance, so the
+        kernel tables are invariant under it.
+        """
+        coords = self.coords
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        maps = []
+        for perm in itertools.permutations(range(self.dim)):
+            for signs in itertools.product((1, -1), repeat=self.dim):
+                a = np.eye(self.dim, dtype=np.int64)[list(perm)] * np.array(signs)[:, None]
+                c = lo - np.minimum(a @ lo, a @ hi)
+                image = coords @ a.T + c
+                if not np.array_equal(image.max(axis=0), hi):
+                    continue  # the box is not mapped onto itself
+                cells = self._cell_at[np.ravel_multi_index(image.T, self.counts)]
+                if np.all(cells >= 0) and np.array_equal(self.omega_mask[cells], self.omega_mask):
+                    maps.append((a, c))
+        return maps
+
+    @cached_property
+    def symmetry(self) -> Symmetry:
+        """Orbits of the Omega cells under lattice_symmetries.
+
+        A functional that every map leaves invariant, such as the energy,
+        has a simple positive minimizer that is constant on each orbit.
+        """
+        maps = self.lattice_symmetries()
+        om = self.omega_indices
+        position = np.full(self.n_cells, -1)
+        position[om] = np.arange(len(om))
+        images = [
+            position[self._cell_at[np.ravel_multi_index((self.coords[om] @ a.T + c).T, self.counts)]]
+            for a, c in maps
+        ]
+        reps, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
+        return Symmetry(orbit, reps, np.bincount(orbit).astype(float), len(maps))
+
     def _offset_table(self, a: float) -> tuple[NDArray, int]:
         """T[k] = (h |k|)^a over the integer offsets k of the bounding
         lattice, flattened, with T = 0 at the zero offset; and that index."""
@@ -443,6 +513,22 @@ class GridDomain:
         out = np.zeros(len(rows))
         for _, block in self.pair_powers(rows, cols, a):
             out += block.sum(axis=1)
+        return out
+
+    def orbit_power_sums(self, rows: NDArray, a: float) -> NDArray:
+        """S[r, b] = sum over the Omega cells j of orbit b of |x_i - x_j|^a, i = rows[r].
+
+        The columns stream through pair_powers grouped by orbit, so no
+        rows x n_omega table is held.
+        """
+        orbit = self.symmetry.orbit
+        order = np.argsort(orbit, kind="stable")
+        grouped = orbit[order]
+        out = np.zeros((len(rows), len(self.symmetry.reps)))
+        for sl, block in self.pair_powers(rows, self.omega_indices[order], a):
+            ids = grouped[sl]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            out[:, ids[starts]] += np.add.reduceat(block, starts, axis=1)
         return out
 
     def pair_power(self, rows: NDArray, cols: NDArray, a: float, what: str) -> NDArray:

@@ -8,7 +8,10 @@ value lambda_n, the next iterate minimizes
 
 is replaced by its absolute value and renormalized.  The energy never
 increases under absolute value and the first eigenfunction is signless, so
-the Rayleigh values decrease along the outer loop.
+the Rayleigh values decrease along the outer loop.  The first
+eigenfunction is also constant on the orbits of the grid's lattice
+symmetry group, so the whole loop runs on one value per orbit through the
+folded kernel (energy_kernel(..., fold=True)).
 
 Once the weak residual is at most _NEWTON_SWITCH, each outer step first
 tries one Newton step on the bordered eigen-system in (u, lambda), which
@@ -17,9 +20,9 @@ eigenfunction positive for every p > 1, so the bordered Jacobian is
 nonsingular there.  A Newton step that fails to solve, raises lambda or
 raises the residual is refused; the solve then stops if the iterate is
 at its float floor, and otherwise takes the inverse-power step.  For
-p < 2 the pair weights
-|u_i - u_j|^(p-2) blow up at near-ties, and a solve may end at that
-floor rather than at tol.
+p < 2 the pair weights |u_i - u_j|^(p-2) blow up at near-ties that the
+symmetry does not explain, and a solve may end at that floor rather than
+at tol.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class Eigenpair:
     residual is the relative l2 norm of the weak-form optimality defect
     over the free cells.  stop_reason is "tol" or "float floor" when
     converged, else "stalled" (float fixed point above the floor) or
-    "budget" (outer iterations spent).
+    "budget" (outer iterations spent).  group_order is the order of the
+    lattice symmetry group the solve folded over (1: no fold).
     """
 
     lam: float
@@ -74,6 +78,7 @@ class Eigenpair:
     residual: float = 0.0
     converged: bool = True
     stop_reason: str = "tol"
+    group_order: int = 1
 
     def validate(self, params: FracParams, rtol: float = 1e-8) -> None:
         u = self.eigenfunction
@@ -93,29 +98,29 @@ class Eigenpair:
 def _evaluate(kern: EnergyKernel, u_om: NDArray) -> tuple[float, NDArray, float]:
     """Energy, its gradient, and the relative weak residual at a normalized u."""
     lam, grad = kern.energy_grad(u_om)
-    target = lam * phi_p(u_om, kern.params.p) * kern.hn
+    target = lam * phi_p(u_om, kern.params.p) * kern.mass
     r = grad / kern.params.p - target
-    return lam, grad, float(np.linalg.norm(r)) / max(float(np.linalg.norm(target)), 1e-300)
+    return lam, grad, kern.dual_norm(r) / max(kern.dual_norm(target), 1e-300)
 
 
-def _normalized(w: NDArray, p: float, hn: float) -> NDArray | None:
-    """w scaled to unit L^p norm, or None when w vanishes."""
-    nrm = float(np.sum(w**p) * hn) ** (1.0 / p)
+def _normalized(w: NDArray, p: float, mass: NDArray) -> NDArray | None:
+    """Nonnegative w scaled to unit L^p norm, or None when w vanishes."""
+    nrm = float(np.sum(w**p * mass)) ** (1.0 / p)
     return None if nrm == 0.0 else w / nrm
 
 
 def _inverse_power_step(
     kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool
 ) -> NDArray:
-    """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) h^N.
+    """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) mass.
 
     The inner solve stops at gradient norm 1e-2 min(1, res) ||b|| for the
     outer residual res, within _INNER_BUDGET objective evaluations; an
     unconverged inner run still yields its last iterate, which the outer
     loop accepts or refuses on lambda.
     """
-    p, hn = kern.params.p, kern.hn
-    b = lam * phi_p(u_om, p) * hn
+    p, mass = kern.params.p, kern.mass
+    b = lam * phi_p(u_om, p) * mass
     # inexact inverse power: early inner solves only need to track the
     # outer residual; the tolerance tightens as the eigenpair settles
     b_norm = float(np.linalg.norm(b))
@@ -123,7 +128,7 @@ def _inverse_power_step(
     # the indicator start carries exact pair ties; minimize_energy's
     # quadratic-form start gives a smooth first inner iterate instead
     inner = minimize_energy(kern, b, None if first else u_om, gtol, _INNER_BUDGET)
-    u_new = _normalized(np.abs(inner.x), p, hn)
+    u_new = _normalized(np.abs(inner.x), p, mass)
     if u_new is None:
         raise ConvergenceError("inner solve collapsed to zero", partial=None)
     return u_new
@@ -134,28 +139,28 @@ def _bordered_newton(
 ) -> NDArray | None:
     """One Newton step on the bordered eigen-system, as normalized |u + du|.
 
-    F(u, lam) = [grad E(u)/p - lam c ; (sum |u|^p h^N - 1)/p], c = phi_p(u) h^N.
-    Its Jacobian [[H - lam (p-1) diag|u|^(p-2) h^N, -c], [c^T, 0]], with H
+    F(u, lam) = [grad E(u)/p - lam c ; (sum |u|^p mass - 1)/p], c = phi_p(u) mass.
+    Its Jacobian [[H - lam (p-1) diag(|u|^(p-2) mass), -c], [c^T, 0]], with H
     the curvature of E/p, is solved with its last row negated, which makes
     it symmetric; it is nonsingular at the first eigenpair, which is simple
     with a positive eigenfunction.  grad is the gradient of the energy at
     u.  Returns None when the solve fails.
     """
-    p, hn = kern.params.p, kern.hn
+    p, mass = kern.params.p, kern.mass
     n = len(u_om)
-    c = phi_p(u_om, p) * hn
+    c = phi_p(u_om, p) * mass
     # one buffer: the Hessian fills its leading block, and the exactly
     # symmetric jac's transpose is the Fortran array LAPACK factors in place
     jac = np.empty((n + 1, n + 1))
     kern.hessian_omega(u_om, out=jac[:n, :n])
     diag = np.arange(n)
-    jac[diag, diag] -= lam * (p - 1.0) * np.abs(u_om) ** (p - 2.0) * hn
+    jac[diag, diag] -= lam * (p - 1.0) * np.abs(u_om) ** (p - 2.0) * mass
     jac[:n, n] = -c
     jac[n, :n] = -c
     jac[n, n] = 0.0
     rhs = np.empty(n + 1)
     rhs[:n] = lam * c - grad / p
-    rhs[n] = (float(np.sum(np.abs(u_om) ** p)) * hn - 1.0) / p
+    rhs[n] = (float(np.sum(np.abs(u_om) ** p * mass)) - 1.0) / p
     try:
         delta = scipy.linalg.solve(
             jac.T, rhs, assume_a="sym", overwrite_a=True, check_finite=False
@@ -164,7 +169,7 @@ def _bordered_newton(
         return None
     if not np.all(np.isfinite(delta)):
         return None
-    return _normalized(np.abs(u_om + delta[:n]), p, hn)
+    return _normalized(np.abs(u_om + delta[:n]), p, mass)
 
 
 def first_eigenpair(
@@ -174,6 +179,13 @@ def first_eigenpair(
     start: GridFunction | None = None,
 ) -> Eigenpair:
     """Inverse-power iteration for the smallest Rayleigh quotient.
+
+    The first eigenfunction is simple and positive, so it is constant on
+    each orbit of the grid's lattice symmetry group (dom.symmetry): the
+    solve runs on one value per orbit through the folded kernel, and
+    writes the full eigenfunction.  A given start is averaged over each
+    orbit.  Norms carry the orbit sizes (kern.mass, kern.dual_norm), so
+    residual and tol mean what they mean on the cells.
 
     Once the residual is at most _NEWTON_SWITCH, each outer step first
     tries a bordered Newton step.  One floor test decides convergence: the
@@ -192,19 +204,19 @@ def first_eigenpair(
     """
     if dom.n_omega == 0:
         raise ValueError("domain has no Omega cell")
-    kern = energy_kernel(dom, params)
-    p, hn = params.p, kern.hn
+    kern = energy_kernel(dom, params, fold=True)
+    p, mass = params.p, kern.mass
+    orbit, _, mult, group_order = kern.symmetry
 
     if start is None:
-        u = GridFunction.indicator(dom)
+        u_om = np.ones(len(mult))
     else:
         if start.host is not dom:
             raise ValueError("start function lives on a different host")
-        u = abs(start)
-    nrm = lp_norm(u, p)
-    if nrm == 0.0:
+        u_om = np.bincount(orbit, weights=np.abs(start.omega_values)) / mult
+    u_om = _normalized(u_om, p, mass)
+    if u_om is None:
         raise ValueError("start function is identically zero")
-    u_om = u.omega_values / nrm
 
     lam, grad, res = _evaluate(kern, u_om)
     trace: list[tuple[float, float]] = [(lam, res)]
@@ -213,7 +225,7 @@ def first_eigenpair(
         """The floor test at the current iterate."""
         if res <= cfg.tol:
             return True
-        b_norm = lam * float(np.linalg.norm(phi_p(u_om, p))) * hn
+        b_norm = lam * kern.dual_norm(phi_p(u_om, p) * mass)
         return res * b_norm <= kern.gradient_floor(u_om, b_norm)
 
     stop_reason = "budget"
@@ -249,12 +261,13 @@ def first_eigenpair(
         stop_reason = "tol" if res <= cfg.tol else "float floor"
     pair = Eigenpair(
         lam=lam,
-        eigenfunction=GridFunction.from_omega(dom, u_om),
+        eigenfunction=GridFunction.from_omega(dom, u_om[orbit]),
         trace=trace,
         iterations=n,
         residual=res,
         converged=converged,
         stop_reason=stop_reason,
+        group_order=group_order,
     )
     if not converged:
         what = "stalled above the float floor" if stop_reason == "stalled" else "budget spent"

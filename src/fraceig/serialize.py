@@ -113,6 +113,7 @@ def save_eigenpair(pair: Eigenpair, params: FracParams, path) -> None:
         "residual": pair.residual,
         "converged": pair.converged,
         "stop_reason": pair.stop_reason,
+        "group_order": pair.group_order,
         "u": pair.eigenfunction.values.tolist(),
     }
     save_json(payload, path)

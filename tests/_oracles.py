@@ -54,13 +54,16 @@ def operator_double_sum(cells, values, omega_mask, h, dim, s, p):
     return g
 
 
-def hessian_loops(cells, values, omega_mask, h, dim, s, p):
+def hessian_loops(cells, values, omega_mask, h, dim, s, p, labels=None):
     """Curvature of energy/p in the free-cell values, by explicit loops.
 
     Each ordered pair (i, j) adds (1/p)|u_i - u_j|^p |x_i - x_j|^-(N+sp) h^(2N);
     its second derivatives carry the weight (p-1)|u_i - u_j|^(p-2), with
     |u_i - u_j| floored at 1e-14 max|u| (1e-14 for u = 0) as in the solver.
-    Pairs toward exterior cells (u_j = 0) add to the diagonal only.
+    Pairs toward exterior cells (u_j = 0) add to the diagonal only.  Pairs
+    of free cells with equal labels (one per cell, when given) are left
+    out: each adds w (e_i - e_j)(e_i - e_j)^T, which P^T (.) P maps to 0
+    when P takes the cells of a label to one unknown.
     """
     expo = dim + s * p
     free = [i for i, f in enumerate(omega_mask) if f]
@@ -69,7 +72,7 @@ def hessian_loops(cells, values, omega_mask, h, dim, s, p):
     out = np.zeros((len(free), len(free)))
     for ii, i in enumerate(free):
         for j in range(len(cells)):
-            if j == i:
+            if j == i or (labels is not None and omega_mask[j] and labels[i] == labels[j]):
                 continue
             z = max(abs(values[i] - values[j]), delta)
             # both orders (i, j) and (j, i) of the pair hold the term

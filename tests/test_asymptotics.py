@@ -35,6 +35,16 @@ class TestSSweep:
         report = s_sweep(interval16, 2.0, [0.3, 0.4, 0.5], 0.4)
         assert report.row_at(0.4).dist_to_base == 0.0
 
+    def test_folded_distances_match_the_seminorm(self, box8):
+        # the sweep takes distances from the folded kernels its solves built
+        report = s_sweep(box8, 1.5, [0.3, 0.5, 0.7], 0.5)
+        base = report.eigenfunctions[0.5]
+        for r in report.rows:
+            params = FracParams(s=min(r.s, 0.5), p=1.5)
+            plain = seminorm_distance(report.eigenfunctions[r.s], base, params)
+            assert r.dist_to_base == pytest.approx(plain, rel=1e-12, abs=1e-14)
+            assert r.group_order == 8
+
     def test_weighted_column_formula(self, interval16):
         report = s_sweep(interval16, 2.0, [0.3, 0.5], 0.3)
         w = 2.5 * interval16.diameter_R

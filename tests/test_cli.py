@@ -35,6 +35,19 @@ class TestEig:
         data = json.loads(out.read_text())
         assert data["lambda"] == printed
 
+    def test_box96_solves_on_orbits(self, tmp_path):
+        # 9,216 free cells: the unfolded 9,216 x 9,216 table is over the dense
+        # budget, the 1,176 x 9,216 representative rows are not
+        path = tmp_path / "box96.json"
+        save_domain_spec(box_spec(1 / 96), path)
+        out = tmp_path / "pair.json"
+        assert run(["eig", "--domain", path, "--s", 0.5, "--p", 2, "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["stop_reason"] == "tol" and data["group_order"] == 8
+        # h-convergence from below: box64 gives 40.57024653718541, and an
+        # independent box128 solve 41.0710335666259
+        assert 40.57024653718541 < data["lambda"] < 41.0710335666259
+
     def test_trace_file(self, domain_file, tmp_path):
         out = tmp_path / "pair.json"
         trace = tmp_path / "trace.csv"

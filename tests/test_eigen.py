@@ -22,7 +22,7 @@ from fraceig import (
 from fraceig.core import energy_kernel, phi_p
 
 from _oracles import dense_p2_eigenpair
-from conftest import interval_spec, random_function
+from conftest import box_spec, interval_spec, random_function
 
 P2 = FracParams(s=0.5, p=2.0)
 
@@ -78,14 +78,42 @@ class TestFirstEigenpair:
         assert pair.lam == pytest.approx(oracle.lam, rel=1e-6)
         assert lp_norm(pair.eigenfunction - oracle.eigenfunction, 2.0) <= 1e-4
 
-    def test_p_small_endgame_stops_at_float_floor(self, box8, cho_calls):
+    def test_p_small_endgame_meets_tol(self, box8, cho_calls):
         # bordered Newton finishes the p < 2 solve; the few factorizations
-        # left belong to the inverse-power steps before the switch
+        # left belong to the inverse-power steps before the switch.  The
+        # unfolded solve stopped at its float floor, residual 2.8e-8: the
+        # exact ties inside each symmetry orbit set that floor
         pair = first_eigenpair(box8, FracParams(s=0.5, p=1.5))
         assert len(cho_calls) <= 10
         assert pair.lam == pytest.approx(32.76385791815459, rel=1e-10)
-        assert pair.residual <= 1e-7
+        assert pair.stop_reason == "tol"
+        assert pair.residual <= SolverConfig().tol
         assert pair.iterations == 6
+        assert pair.group_order == 8
+
+    def test_box24_endgame_meets_tol(self):
+        # the unfolded solve ended "float floor" at residual 3.3e-8
+        dom = build_domain(box_spec(1 / 24), t=4.0)
+        pair = first_eigenpair(dom, FracParams(s=0.5, p=1.5))
+        assert pair.stop_reason == "tol"
+        assert pair.residual <= SolverConfig().tol
+        assert pair.lam == pytest.approx(37.54532402420353, rel=1e-12)
+
+    def test_p14_box8_converges(self, box8):
+        # the unfolded solve raised "stalled" at residual 1.7e-6
+        pair = first_eigenpair(box8, FracParams(s=0.5, p=1.4))
+        assert pair.stop_reason == "tol"
+        assert pair.residual <= SolverConfig().tol
+
+    def test_start_is_averaged_over_orbits(self, box8):
+        params = FracParams(s=0.5, p=3.0)
+        rng = np.random.default_rng(5)
+        start = GridFunction.from_omega(box8, np.abs(rng.standard_normal(box8.n_omega)) + 0.05)
+        pair = first_eigenpair(box8, params, start=start)
+        u = pair.eigenfunction.omega_values
+        orbit = box8.symmetry.orbit
+        assert np.array_equal(u, u[box8.symmetry.reps][orbit])
+        assert pair.lam == pytest.approx(first_eigenpair(box8, params).lam, rel=1e-12)
 
     @pytest.mark.parametrize(
         "s, lam",
