@@ -9,6 +9,7 @@ one row-sum of kernel weights toward the exterior cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
 # further for p < 2 (eps times the tie-driven condition number);
 # gradient_floor applies it only there
 _REL_POLISH_FLOOR = 1e-7
+
+T = TypeVar("T")
 
 
 def phi_p(z: NDArray, p: float) -> NDArray:
@@ -166,6 +169,10 @@ class EnergyKernel:
     Without fold, or on the trivial group, symmetry is the identity, mult
     is 1 and the tables are the plain ones.  Norms of dual vectors (such
     as gradients) in the cell metric are dual_norm(v) = ||v / sqrt(mult)||.
+
+    Tables that depend only on the grid and (s, p), such as the pair-field
+    weight and the far field of equivalence_check, are built on first use
+    through memo and live as long as the cached kernel.
     """
 
     def __init__(self, dom: GridDomain, params: FracParams, fold: bool = False):
@@ -190,6 +197,13 @@ class EnergyKernel:
             self.K_oo = 0.5 * (w + w.T)
             np.fill_diagonal(self.K_oo, 0.0)
         self.k_out = mult * dom.pair_power_sums(om[reps], dom.other_indices, -self.exponent)
+        self._memo: dict = {}
+
+    def memo(self, key, build: Callable[[], T]) -> T:
+        """The table build() under key, built on the first call only."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def dual_norm(self, v: NDArray) -> float:
         """l2 norm in the cell metric of a dual vector over the unknowns."""
@@ -215,8 +229,9 @@ class EnergyKernel:
 
         Q = 2 h^(2N) (diag(row sums + exterior sums) - K); w^T Q w is the
         p=2-type energy with this kernel's exponent; Q gives the inner
-        solves their start.  Built anew on each access, so the kernel keeps
-        no n x n table beyond K_oo.
+        solves their start.  Built anew on each access: of the square
+        tables, the kernel keeps only K_oo, and the M x M pair-field weight
+        once a pair field asked for it.
         """
         return self._laplacian(self.K_oo, 1.0, 2.0 * self.h2n, None)
 
@@ -365,12 +380,8 @@ class EnergyKernel:
             return float(d[live].max()), float(rhs[live].max())
 
         def block(lo: int, hi: int):
-            du = u_om[lo:hi, None] - u_om[None, :]
-            dv = v_om[lo:hi, None] - v_om[None, :]
-            off = np.ones(du.shape, dtype=bool)
-            rows = np.arange(hi - lo)
-            off[rows, lo + rows] = False  # the diagonal pairs (i, i)
-            return gap(du[off], dv[off])
+            # the diagonal pairs (i, i) have U = V = 0 and are not live
+            return gap(u_om[lo:hi, None] - u_om[None, :], v_om[lo:hi, None] - v_om[None, :])
 
         parts = map_blocks(block, len(u_om))
         parts.append(gap(u_om, v_om))  # Omega-to-exterior pairs (V side is 0 there)
@@ -438,12 +449,24 @@ def apply_operator(u: GridFunction, params: FracParams) -> GridFunction:
     return GridFunction.from_omega(u.host, g_om)
 
 
+def _pair_weight(dom: GridDomain, params: FracParams, what: str) -> NDArray:
+    """|x_i - x_j|^(-(N/p+s)) over all M x M ball-cell pairs, 0 on the diagonal.
+
+    Built once per (grid, s, p) and memoized on the plain kernel; refused
+    for `what` beyond the dense budget before anything M x M exists.
+    """
+    check_dense_pairs(dom.n_cells, dom.n_cells, what)
+    cells = np.arange(dom.n_cells)
+    a = -(dom.dim / params.p + params.s)
+    return energy_kernel(dom, params).memo("pair weight", lambda: dom.pair_power(cells, cells, a, what))
+
+
 def nonlocal_gradient(u: GridFunction, params: FracParams) -> PairFunction:
     """Pairwise difference quotient (u_i - u_j)/|x_i - x_j|^(N/p+s)."""
     dom = u.host
-    cells = np.arange(dom.n_cells)
-    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "the nonlocal gradient")
-    vals = (u.values[:, None] - u.values[None, :]) * w
+    w = _pair_weight(dom, params, "the nonlocal gradient")
+    vals = np.subtract.outer(u.values, u.values)
+    vals *= w
     return PairFunction(vals, dom)
 
 
@@ -453,7 +476,6 @@ def nonlocal_divergence(phi: PairFunction, params: FracParams) -> NDArray:
     Defined on every ball cell (not only Omega); symmetric pair data cancels.
     """
     dom = phi.host
-    cells = np.arange(dom.n_cells)
-    w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "the nonlocal divergence")
+    w = _pair_weight(dom, params, "the nonlocal divergence")
     hn = dom.h**dom.dim
     return np.sum((phi.values - phi.values.T) * w, axis=1) * hn

@@ -4,6 +4,7 @@ Everything here is written as plain loops over the raw arrays so the
 expected values do not share a code path with the package's assemblers.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -195,3 +196,59 @@ def max_pairwise_distance(points):
         for j in range(i + 1, len(points)):
             best = max(best, math.dist(points[i], points[j]))
     return best
+
+
+def far_field_loops(cells, values, omega_mask, center, origin, h, dim, diameter, t, s, p, factor):
+    """Far-field part W of the equivalence split, by explicit loops.
+
+    Sums 2 |u_i|^p |x_i - y|^-(N+sp) h^(2N) over the Omega cells x_i and the
+    lattice points y = origin + h k with t R / 2 < |y - center| <= factor R,
+    then adds the radial tail 2 (N |B_1| / sp) (factor R)^(-sp) ||u||_p^p.
+    """
+    expo = dim + s * p
+    sp = s * p
+    half, r_quad = 0.5 * t * diameter, factor * diameter
+    reach = math.ceil((math.dist(origin, center) + r_quad) / h) + 2
+    points = []
+    for k in itertools.product(range(-reach, reach + 1), repeat=dim):
+        y = [origin[d] + h * k[d] for d in range(dim)]
+        r = math.dist(y, center)
+        if half * (1 + 1e-12) < r <= r_quad * (1 + 1e-12):
+            points.append(y)
+    quad, lp = 0.0, 0.0
+    for i, flag in enumerate(omega_mask):
+        if not flag:
+            continue
+        up = abs(values[i]) ** p
+        lp += up * h**dim
+        for y in points:
+            quad += 2.0 * up / math.dist(cells[i], y) ** expo * h ** (2 * dim)
+    vol = 2.0 if dim == 1 else math.pi
+    return quad + 2.0 * (dim * vol / sp) * r_quad ** (-sp) * lp
+
+
+def psmall_gap_loops(u_values, v_values, omega_mask, p):
+    """(worst lhs - rhs, largest rhs) of the 1<p<2 pairwise inequality
+    (p-1)|U-V|^2 <= (phi(U)-phi(V))(U-V)(|U|^p+|V|^p)^((2-p)/p) over the
+    ordered pairs i != j with i in Omega, U = u_i - u_j, V = v_i - v_j;
+    pairs with U = V = 0, or with |U-V| at most 4 eps (|U|+|V|), are left out.
+    """
+    eps = np.finfo(float).eps
+
+    def odd(z):
+        return math.copysign(abs(z) ** (p - 1.0), z)
+
+    worst, scale = -math.inf, 0.0
+    for i, flag in enumerate(omega_mask):
+        if not flag:
+            continue
+        for j in range(len(omega_mask)):
+            if j == i:
+                continue
+            a, b = u_values[i] - u_values[j], v_values[i] - v_values[j]
+            if (a == 0.0 and b == 0.0) or abs(a - b) <= 4.0 * eps * (abs(a) + abs(b)):
+                continue
+            rhs = (odd(a) - odd(b)) * (a - b) * (abs(a) ** p + abs(b) ** p) ** ((2.0 - p) / p)
+            worst = max(worst, (p - 1.0) * (a - b) ** 2 - rhs)
+            scale = max(scale, rhs)
+    return worst, scale

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from fraceig import (
     translation_quotient_check,
 )
 
+import fraceig.core as core_mod
+
+from _oracles import far_field_loops
 from conftest import interval_spec, random_function
 
 P2 = FracParams(s=0.5, p=2.0)
@@ -144,6 +149,47 @@ class TestEquivalenceCheck:
         rep = equivalence_check(u, P2, quad_radius_factor=8.0)
         assert rep.V == pytest.approx(rep.X + rep.Y, rel=1e-12)
         assert rep.ratio_ok
+
+    @pytest.mark.parametrize("factor", [1.0, -1.0, 0.5, 0.0, 1.999, np.nan, np.inf, -np.inf])
+    def test_refuses_radii_inside_the_truncation_ball(self, factor):
+        # below t/2 the quadrature starts inside the ball (factor 1 gave
+        # W = 4, factor -1 gave W = -4, factors 0.5 and 0 divided by zero)
+        dom = build_domain(interval_spec(1 / 32), t=4.0)
+        u = GridFunction.indicator(dom)
+        with pytest.raises(ValueError, match="quad_radius_factor"):
+            equivalence_check(u, P2, quad_radius_factor=factor)
+        assert dom not in core_mod._KERNELS  # refused before any table was built
+
+    def test_truncation_radius_is_accepted(self):
+        dom = build_domain(interval_spec(1 / 32), t=4.0)
+        u = GridFunction.indicator(dom)
+        rep = equivalence_check(u, P2, quad_radius_factor=2.0)
+        assert rep.W == rep.tail > 0.0  # no lattice point lies in the shell
+        assert equivalence_check(u, P2).W == pytest.approx(2.043168318045057, rel=1e-12)
+
+    def test_reports_do_not_depend_on_threads(self):
+        # threads 1 then 2, and 2 then 1, each on a fresh grid: the first
+        # call builds the far-field sums over five blocks of shell points
+        reports = []
+        for order in ((1, 2), (2, 1)):
+            dom = build_domain(interval_spec(1 / 16), t=4.0)
+            u = random_function(dom, np.random.default_rng(53))
+            for threads in order:
+                rep = equivalence_check(u, FracParams(s=0.75, p=1.5), threads=threads)
+                reports.append(dataclasses.astuple(rep))
+        assert all(r == reports[0] for r in reports)
+
+    @pytest.mark.parametrize("name, factor", [("interval16", 20.0), ("box8", 3.0)])
+    def test_far_field_matches_loop_oracle(self, name, factor, request):
+        dom = request.getfixturevalue(name)
+        params = FracParams(s=0.75, p=1.5)
+        u = random_function(dom, np.random.default_rng(54))
+        rep = equivalence_check(u, params, quad_radius_factor=factor)
+        want = far_field_loops(
+            dom.cells, u.values, dom.omega_mask, dom.center, dom.origin, dom.h, dom.dim,
+            dom.diameter_R, dom.t, params.s, params.p, factor,
+        )
+        assert rep.W == pytest.approx(want, rel=1e-13)
 
 
 class TestTranslationQuotient:

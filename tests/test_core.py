@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from fraceig import (
     DirichletProblem,
     DomainSpec,
     FracParams,
+    GridDomain,
     GridFunction,
     PairFunction,
     apply_operator,
@@ -21,6 +24,7 @@ from fraceig import (
     rayleigh_quotient,
     solve_dirichlet,
 )
+import fraceig.domain as domain_mod
 from fraceig.core import energy_kernel, phi_p
 
 from _oracles import (
@@ -33,7 +37,7 @@ from _oracles import (
     pair_divergence,
     pair_gradient,
 )
-from conftest import box_spec, interval_spec, random_function
+from conftest import box_spec, interval_spec, random_function, union_spec
 
 PARAMS = FracParams(s=0.5, p=2.0)
 
@@ -94,6 +98,25 @@ def test_dense_pairs_refused_before_allocation():
     dom = build_domain(interval_spec(1 / 9000), t=4.0)
     with pytest.raises(ValueError, match="energy kernel's Omega x Omega table would be a dense "):
         energy_kernel(dom, PARAMS)
+
+
+def test_pair_fields_refuse_before_any_square_allocation(box8, monkeypatch):
+    # 1,500 ball cells: an 18 MB table, refused by a budget one byte short
+    m = box8.n_cells
+    rng = np.random.default_rng(23)
+    u = random_function(box8, rng)
+    phi = PairFunction(rng.standard_normal((m, m)), box8)
+    monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * m * m - 1)
+    params = FracParams(s=0.3, p=1.7)  # a fresh kernel, with no table yet
+    for call, arg, name in ((nonlocal_gradient, u, "gradient"), (nonlocal_divergence, phi, "divergence")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"the nonlocal {name} would be a dense "):
+                call(arg, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m // 10
 
 
 class TestGagliardoEnergy:
@@ -399,6 +422,50 @@ class TestPairOperations:
             )
             assert lhs == pytest.approx(o_lhs, rel=1e-11)
             assert rhs == pytest.approx(o_rhs, rel=1e-11)
+
+
+class TestPairFieldWeight:
+    """The M x M weight of the pair fields is one table per (grid, s, p)."""
+
+    SPECS = {
+        "int16": interval_spec(1 / 16),
+        "union16": union_spec(1 / 16),
+        "box8": box_spec(1 / 8),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_fields_are_the_fresh_formulas_bit_for_bit(self, name):
+        dom = build_domain(self.SPECS[name], t=4.0)
+        params = FracParams(s=0.4, p=1.5)
+        cells = np.arange(dom.n_cells)
+        w = dom.pair_power(cells, cells, -(dom.dim / params.p + params.s), "w")
+        rng = np.random.default_rng(21)
+        for _ in range(3):  # the first call builds the table, the others reuse it
+            u = random_function(dom, rng)
+            phi = PairFunction(rng.standard_normal((dom.n_cells,) * 2), dom)
+            want_grad = (u.values[:, None] - u.values[None, :]) * w
+            want_div = np.sum((phi.values - phi.values.T) * w, axis=1) * dom.h**dom.dim
+            assert nonlocal_gradient(u, params).values.tobytes() == want_grad.tobytes()
+            assert nonlocal_divergence(phi, params).tobytes() == want_div.tobytes()
+
+    def test_table_is_gathered_once_per_grid(self, monkeypatch):
+        dom = build_domain(interval_spec(1 / 16), t=4.0)
+        shapes = []
+        pair_power = GridDomain.pair_power
+
+        def counting(self, rows, cols, a, what):
+            shapes.append((len(rows), len(cols)))
+            return pair_power(self, rows, cols, a, what)
+
+        monkeypatch.setattr(GridDomain, "pair_power", counting)
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            nonlocal_gradient(random_function(dom, rng), PARAMS)
+            nonlocal_divergence(PairFunction(rng.standard_normal((dom.n_cells,) * 2), dom), PARAMS)
+        m = dom.n_cells
+        assert shapes.count((m, m)) == 1
+        nonlocal_gradient(random_function(dom, rng), FracParams(s=0.6, p=2.0))
+        assert shapes.count((m, m)) == 2  # another (s, p), another table
 
 
 class TestGridFunction:

@@ -22,6 +22,7 @@ from fraceig import (
 )
 from fraceig.core import energy_kernel, phi_p
 
+from _oracles import psmall_gap_loops
 from conftest import random_function
 
 P2 = FracParams(s=0.5, p=2.0)
@@ -274,6 +275,19 @@ class TestMonotonicityCertificate:
                 rhs = d * (abs(ksi) ** p + abs(eta) ** p) ** ((2 - p) / p)
                 worst = max(worst, (p - 1) * (ksi - eta) ** 2 - rhs)
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("name", ["interval8", "union16", "box8"])
+    def test_gap_matches_loop_oracle(self, name, request):
+        dom = request.getfixturevalue(name)
+        rng = np.random.default_rng(44)
+        u_om, v_om = rng.standard_normal((2, dom.n_omega))
+        tied = rng.random(dom.n_omega) < 0.3  # U = V exactly on pairs of these cells
+        u = GridFunction.from_omega(dom, u_om)
+        v = GridFunction.from_omega(dom, np.where(tied, u_om, v_om))
+        gap, scale = psmall_pairwise_gap(u, v, P15)
+        want_gap, want_scale = psmall_gap_loops(u.values, v.values, dom.omega_mask, 1.5)
+        assert scale == pytest.approx(want_scale, rel=1e-13)
+        assert gap == pytest.approx(want_gap, rel=1e-12, abs=1e-13 * scale)
 
     def test_host_mismatch(self, interval16, interval8):
         with pytest.raises(ValueError, match="hosts"):

@@ -1,8 +1,10 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+import fraceig.domain as domain_mod
 import fraceig.eigen as eigen_mod
 from fraceig import (
     ConvergenceError,
@@ -168,6 +170,22 @@ class TestFirstEigenpair:
             assert pair.eigenfunction.omega_values.min() > 0.0
             lams = [row[0] for row in pair.trace]
             assert all(b <= a * (1 + 1e-11) for a, b in zip(lams, lams[1:]))
+
+    def test_validate_keeps_to_the_folded_tables(self, monkeypatch):
+        # box16: the folded 36 x 256 rows fit a budget that refuses the
+        # plain 256 x 256 table, so the solve and its validation both fold
+        dom = build_domain(box_spec(1 / 16), t=4.0)
+        monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 36 * 256)
+        pair = first_eigenpair(dom, P2)
+        assert pair.group_order == 8
+        assert pair.lam == pytest.approx(37.861173568677145, rel=1e-12)
+        pair.validate(P2)
+        # a function that is not constant on the orbits takes the plain kernel
+        values = pair.eigenfunction.omega_values.copy()
+        values[0] *= 1.0 + 1e-12
+        skewed = dataclasses.replace(pair, eigenfunction=GridFunction.from_omega(dom, values))
+        with pytest.raises(ValueError, match="energy kernel's Omega x Omega table"):
+            skewed.validate(P2)
 
     def test_poincare_lower_bound(self, union16):
         params = FracParams(s=0.6, p=1.5)
