@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._reduce import map_blocks
+from ._reduce import map_blocks, parallel_map
 from .core import GridFunction, energy_kernel, gagliardo_energy
 from .domain import GridDomain, _lattice_axes, _lattice_points, dilate, unit_ball_volume
-from .eigen import Eigenpair, first_eigenpair
+from .eigen import Eigenpair, first_eigenpair, seminorm_distance
 from .errors import ConvergenceError
 from .params import FracParams, SolverConfig
 
@@ -114,11 +113,9 @@ def s_sweep(
     """Solve the first eigenpair at every s and tabulate the results.
 
     Eigenfunction distances to the base eigenfunction use the exponent
-    min(s, s_base) so the seminorm stays finite on both arguments.  Both
-    eigenfunctions are constant on the orbits of dom.symmetry, so the
-    distance is the folded kernel's energy of the orbit values, from the
-    kernel the eigen solve at min(s, s_base) built.  Failed solves are
-    kept as rows flagged not converged.
+    min(s, s_base) so the seminorm stays finite on both arguments.  The
+    eigen solves run on up to cfg.threads worker threads.  Failed solves
+    are kept as rows flagged not converged.
     """
     s_values = sorted(float(s) for s in s_list)
     if not s_values:
@@ -137,8 +134,7 @@ def s_sweep(
             return exc.partial
 
     # one independent eigensolve per s: the coarse task that threads pay for
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        pairs = dict(zip(s_values, pool.map(solve, s_values)))
+    pairs = dict(zip(s_values, parallel_map(solve, s_values, cfg.threads)))
 
     base_pair = pairs[s_base]
     weight_base = 2.5 * dom.diameter_R
@@ -146,9 +142,8 @@ def s_sweep(
     functions = {}
     for s in s_values:
         pair = pairs[s]
-        kern = energy_kernel(dom, FracParams(s=min(s, s_base), p=p), fold=True)
-        diff = pair.eigenfunction - base_pair.eigenfunction
-        dist = kern.energy(diff.omega_values[kern.symmetry.reps]) ** (1.0 / p)
+        low = FracParams(s=min(s, s_base), p=p)
+        dist = seminorm_distance(pair.eigenfunction, base_pair.eigenfunction, low)
         rows.append(
             SweepRow(
                 s=s,
@@ -249,9 +244,10 @@ def equivalence_check(
     The far-field quadrature reaches quad_radius_factor * R, at least the
     truncation radius t R / 2, before the analytic radial tail takes over.
     Its per-cell kernel sums do not depend on u: they are built once per
-    (grid, s, p, radius) on the cached kernel, where that radius dominates
-    the cost on 2D grids and threads parallelize it over fixed blocks
-    without changing the result.  Each call then pairs them with |u|^p.
+    (grid, s, p, radius) and cached on the grid (GridDomain.memo), where
+    that radius dominates the cost on 2D grids and threads parallelize it
+    over fixed blocks without changing the result.  Each call then pairs
+    them with |u|^p.
     """
     dom = u.host
     if dom.t != 4.0:
@@ -295,7 +291,8 @@ def equivalence_check(
             shell += part
         return annulus, shell
 
-    annulus, shell = kern.memo(("equivalence far field", quad_radius_factor), far_field)
+    key = ("equivalence far field", params.s, params.p, quad_radius_factor)
+    annulus, shell = dom.memo(key, far_field)
     u_om = u.omega_values
     up = np.abs(u_om) ** params.p
     up_int = float(np.sum(up) * hn)  # ||u||_p^p

@@ -140,7 +140,7 @@ def cmd_sweep(args) -> int:
     cfg = _config(args, args.threads)
     s_values = _parse_s_values(args)
     base = min(s_values, key=lambda s: abs(s - args.s_base))
-    if abs(base - args.s_base) > 1e-9:
+    if not abs(base - args.s_base) <= 1e-9:  # also refuses a NaN --s-base
         raise ValueError(f"--s-base {args.s_base} is not among the sweep values")
     report = s_sweep(dom, args.p, s_values, base, cfg)
     paths = save_sweep_report(report, args.out)

@@ -9,8 +9,6 @@ one row-sum of kernel weights toward the exterior cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
-from weakref import WeakKeyDictionary
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,8 +34,6 @@ __all__ = [
 # further for p < 2 (eps times the tie-driven condition number);
 # gradient_floor applies it only there
 _REL_POLISH_FLOOR = 1e-7
-
-T = TypeVar("T")
 
 
 def phi_p(z: NDArray, p: float) -> NDArray:
@@ -170,13 +166,11 @@ class EnergyKernel:
     is 1 and the tables are the plain ones.  Norms of dual vectors (such
     as gradients) in the cell metric are dual_norm(v) = ||v / sqrt(mult)||.
 
-    Tables that depend only on the grid and (s, p), such as the pair-field
-    weight and the far field of equivalence_check, are built on first use
-    through memo and live as long as the cached kernel.
+    energy_kernel caches each kernel on its grid (GridDomain.memo), next
+    to the other tables built from that grid, so all of them die with it.
     """
 
     def __init__(self, dom: GridDomain, params: FracParams, fold: bool = False):
-        self.dom = dom
         self.params = params
         self.exponent = dom.dim + params.s * params.p
         self.hn = dom.h**dom.dim
@@ -197,13 +191,6 @@ class EnergyKernel:
             self.K_oo = 0.5 * (w + w.T)
             np.fill_diagonal(self.K_oo, 0.0)
         self.k_out = mult * dom.pair_power_sums(om[reps], dom.other_indices, -self.exponent)
-        self._memo: dict = {}
-
-    def memo(self, key, build: Callable[[], T]) -> T:
-        """The table build() under key, built on the first call only."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def dual_norm(self, v: NDArray) -> float:
         """l2 norm in the cell metric of a dual vector over the unknowns."""
@@ -390,24 +377,11 @@ class EnergyKernel:
         return worst, scale
 
 
-_KERNELS: "WeakKeyDictionary[GridDomain, dict]" = WeakKeyDictionary()
-
-
 def energy_kernel(dom: GridDomain, params: FracParams, fold: bool = False) -> EnergyKernel:
-    """The cached EnergyKernel(dom, params, fold); on a grid whose group is
-    trivial, the folded and the plain kernel are one object."""
+    """EnergyKernel(dom, params, fold), cached on dom; on a grid whose group
+    is trivial, the folded and the plain kernel are one object."""
     fold = fold and dom.symmetry.order > 1
-    table = _KERNELS.setdefault(dom, {})
-    key = (params.s, params.p, fold)
-    kern = table.get(key)
-    if kern is None:
-        kern = EnergyKernel(dom, params, fold)
-        table[key] = kern
-    return kern
-
-
-def _kernel_of(u: GridFunction, params: FracParams) -> EnergyKernel:
-    return energy_kernel(u.host, params)
+    return dom.memo(("energy kernel", params.s, params.p, fold), lambda: EnergyKernel(dom, params, fold))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +392,16 @@ def gagliardo_energy(u: GridFunction, params: FracParams) -> float:
     """Truncated Gagliardo energy: the p-th power of the seminorm.
 
     Sum over ordered cell pairs of |u_i - u_j|^p |x_i - x_j|^(-(N+sp)) h^(2N).
+    A u constant on every orbit of the grid's symmetry group, such as an
+    eigenfunction, takes the folded kernel, which holds no n x n table;
+    any other u takes the plain kernel.
     """
-    return _kernel_of(u, params).energy(u.omega_values)
+    u_om = u.omega_values
+    sym = u.host.symmetry
+    a = u_om[sym.reps]
+    if np.array_equal(a[sym.orbit], u_om):
+        return energy_kernel(u.host, params, fold=True).energy(a)
+    return energy_kernel(u.host, params).energy(u_om)
 
 
 def lp_norm(u: GridFunction, p: float) -> float:
@@ -445,20 +427,20 @@ def apply_operator(u: GridFunction, params: FracParams) -> GridFunction:
     test function it returns p times the symmetric weak double sum, so the
     weak eigen-equation residual uses A u / p.  Zero outside Omega.
     """
-    g_om = _kernel_of(u, params).grad_omega(u.omega_values)
+    g_om = energy_kernel(u.host, params).grad_omega(u.omega_values)
     return GridFunction.from_omega(u.host, g_om)
 
 
 def _pair_weight(dom: GridDomain, params: FracParams, what: str) -> NDArray:
     """|x_i - x_j|^(-(N/p+s)) over all M x M ball-cell pairs, 0 on the diagonal.
 
-    Built once per (grid, s, p) and memoized on the plain kernel; refused
-    for `what` beyond the dense budget before anything M x M exists.
+    Built once per (grid, s, p) and cached on the grid; refused for `what`
+    beyond the dense budget before anything M x M exists.
     """
     check_dense_pairs(dom.n_cells, dom.n_cells, what)
     cells = np.arange(dom.n_cells)
     a = -(dom.dim / params.p + params.s)
-    return energy_kernel(dom, params).memo("pair weight", lambda: dom.pair_power(cells, cells, a, what))
+    return dom.memo(("pair weight", params.s, params.p), lambda: dom.pair_power(cells, cells, a, what))
 
 
 def nonlocal_gradient(u: GridFunction, params: FracParams) -> PairFunction:

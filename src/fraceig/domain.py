@@ -17,9 +17,9 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +44,8 @@ _CHUNK_ENTRIES = 1 << 18
 # bytes one dense float64 pair array may take; larger pair operations are
 # refused before anything of that size is allocated
 _DENSE_PAIR_BYTES = 1 << 29
+
+T = TypeVar("T")
 
 
 def check_dense_pairs(rows: int, cols: int, what: str) -> None:
@@ -399,6 +401,14 @@ class GridDomain:
     origin: NDArray
     counts: tuple
     lattice_index: NDArray
+    # created with the grid, so threads sharing it never race to create it
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def memo(self, key, build: Callable[[], T]) -> T:
+        """The table build() under key, built on the first call and freed with the grid."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
 
     @property
     def n_cells(self) -> int:

@@ -86,14 +86,7 @@ class Eigenpair:
             raise ValueError("eigenfunction is not normalized in L^p")
         if u.omega_values.min() <= 0.0:
             raise ValueError("eigenfunction is not strictly positive on Omega")
-        # every solve's output is constant on the orbits: take its energy
-        # from the folded kernel the solve used, not from the plain n x n table
-        sym = u.host.symmetry
-        orbit_values = u.omega_values[sym.reps]
-        if np.array_equal(u.omega_values, orbit_values[sym.orbit]):
-            energy = energy_kernel(u.host, params, fold=True).energy(orbit_values)
-        else:
-            energy = gagliardo_energy(u, params)
+        energy = gagliardo_energy(u, params)
         if abs(self.lam - energy) > rtol * max(abs(energy), 1e-300):
             raise ValueError("lambda drifts from the energy of the eigenfunction")
         lams = [row[0] for row in self.trace]

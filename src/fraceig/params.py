@@ -44,8 +44,8 @@ class SolverConfig:
     and the weak residual; the eigen solver sets its own inner solves, and
     inner_tol and max_iter_inner bound the convex solve of solve_dirichlet.
     seed feeds every randomized property check; threads sets the worker
-    count of s_sweep (one eigensolve per s) and of the far-field
-    quadrature of the equivalence suite, and never changes a result.
+    count of s_sweep (one eigensolve per s) and of the far-field quadrature
+    of the equivalence suite, at most one per CPU, and never changes a result.
     """
 
     tol: float = 1e-8
@@ -56,10 +56,10 @@ class SolverConfig:
     threads: int = field(default=1)
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.max_iter_outer < 1 or self.max_iter_inner < 1:
             raise ValueError("iteration limits must be at least 1")
         if self.threads < 1:

@@ -158,10 +158,11 @@ def save_problem(prob: DirichletProblem, path) -> None:
 
 
 def save_sweep_report(report: SweepReport, prefix) -> dict:
-    """Write CSV + JSON + a two-column (s, lambda) file; returns the paths."""
+    """Write <prefix>.csv, <prefix>.json and a two-column (s, lambda)
+    <prefix>_lambda.dat, endings appended to the whole prefix; returns the paths."""
     prefix = Path(prefix)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path = prefix.parent / (prefix.name + ".csv")
+    json_path = prefix.parent / (prefix.name + ".json")
     plot_path = prefix.parent / (prefix.name + "_lambda.dat")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -20,8 +20,6 @@ from fraceig import (
     translation_quotient_check,
 )
 
-import fraceig.core as core_mod
-
 from _oracles import far_field_loops
 from conftest import interval_spec, random_function
 
@@ -158,7 +156,7 @@ class TestEquivalenceCheck:
         u = GridFunction.indicator(dom)
         with pytest.raises(ValueError, match="quad_radius_factor"):
             equivalence_check(u, P2, quad_radius_factor=factor)
-        assert dom not in core_mod._KERNELS  # refused before any table was built
+        assert not dom._tables  # refused before any table was built
 
     def test_truncation_radius_is_accepted(self):
         dom = build_domain(interval_spec(1 / 32), t=4.0)
@@ -178,6 +176,33 @@ class TestEquivalenceCheck:
                 rep = equivalence_check(u, FracParams(s=0.75, p=1.5), threads=threads)
                 reports.append(dataclasses.astuple(rep))
         assert all(r == reports[0] for r in reports)
+
+    def test_worker_threads_are_capped_at_the_cpu_count(self, interval16, monkeypatch):
+        import fraceig._reduce as reduce_mod
+
+        workers = []
+
+        class InlinePool:  # records its size, runs the tasks in this thread
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(reduce_mod, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(reduce_mod.os, "cpu_count", lambda: 3)
+        rows = reduce_mod.BLOCK_ROWS
+        assert reduce_mod.map_blocks(lambda lo, hi: hi - lo, 5 * rows, threads=5000) == [rows] * 5
+        assert reduce_mod.map_blocks(lambda lo, hi: hi - lo, rows + 1, threads=5000) == [rows, 1]
+        assert reduce_mod.map_blocks(lambda lo, hi: hi - lo, 5 * rows, threads=1) == [rows] * 5
+        s_sweep(interval16, 2.0, [0.3, 0.4, 0.5, 0.6], 0.3, SolverConfig(threads=5000))
+        assert workers == [3, 2, 3]
 
     @pytest.mark.parametrize("name, factor", [("interval16", 20.0), ("box8", 3.0)])
     def test_far_field_matches_loop_oracle(self, name, factor, request):

@@ -77,6 +77,17 @@ class TestEig:
         assert data["stop_reason"] == "budget"
         assert "budget spent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_2(self, domain_file, tmp_path, capsys, tol):
+        # --tol inf once stopped after one outer iteration, flagged converged
+        # at residual 0.077
+        out = tmp_path / "pair.json"
+        code = run(["eig", "--domain", domain_file, "--s", 0.5, "--p", 1.5,
+                    "--tol", tol, "--out", out])
+        assert code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_zero_problem_gives_zero_file(self, domain_file, tmp_path):
@@ -233,6 +244,14 @@ class TestSweep:
                     "--s-list", "0.3,0.4", "--s-base", 0.7, "--out", tmp_path / "s"])
         assert code == 2
 
+    def test_nan_base_exits_2(self, domain_file, tmp_path, capsys):
+        # abs(base - nan) > 1e-9 is False: a NaN base once ran with the first s
+        code = run(["sweep", "--domain", domain_file, "--p", 2,
+                    "--s-list", "0.4,0.5", "--s-base", "nan", "--out", tmp_path / "s"])
+        assert code == 2
+        assert "not among the sweep values" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_nonconverged_rows_exit_3(self, domain_file, tmp_path):
         code = run(["sweep", "--domain", domain_file, "--p", 3,
                     "--s-list", "0.3,0.5", "--s-base", 0.3,
@@ -375,6 +394,17 @@ class TestSolverFlags:
                            "--max-iter-inner", 1, "--out", tmp_path / "x.json"])
         assert code == 3
         assert "Dirichlet solve stalled" in capsys.readouterr().err
+
+    def test_infinite_inner_tol_exits_2(self, domain_file, tmp_path, capsys):
+        # --inner-tol inf once returned the start, 7.7% from the solution, with exit 0
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"f": 1.0, "s": 0.5, "p": 1.5}))
+        out = tmp_path / "sol.json"
+        code = run(["solve", "--domain", domain_file, "--problem", prob,
+                    "--inner-tol", "inf", "--out", out])
+        assert code == 2
+        assert "inner_tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

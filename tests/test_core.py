@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fraceig import (
     apply_operator,
     build_domain,
     dilate,
+    equivalence_check,
     first_eigenpair,
     gagliardo_energy,
     lp_norm,
@@ -520,3 +523,18 @@ def test_kernel_cache_reuse(interval16):
     assert k1 is k2
     k3 = energy_kernel(interval16, FracParams(s=0.6, p=2.0))
     assert k3 is not k1
+
+
+def test_tables_die_with_their_grid():
+    # a module-level registry once kept every grid alive: each cached
+    # kernel pointed back at its own weak key
+    dom = build_domain(interval_spec(1 / 32), t=4.0)
+    params = FracParams(s=0.5, p=1.5)
+    u = GridFunction.indicator(dom)
+    assert energy_kernel(dom, params, fold=True) is not energy_kernel(dom, params)
+    nonlocal_gradient(u, params)
+    equivalence_check(u, params)
+    ref = weakref.ref(dom)
+    del dom, u
+    gc.collect()
+    assert ref() is None

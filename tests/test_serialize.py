@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,14 +180,25 @@ class TestProblemFiles:
 def test_sweep_report_files(tmp_path, interval16):
     report = s_sweep(interval16, 2.0, [0.3, 0.4, 0.5], 0.3)
     paths = save_sweep_report(report, tmp_path / "sweep")
-    csv_lines = open(paths["csv"]).read().strip().splitlines()
+    csv_lines = Path(paths["csv"]).read_text().strip().splitlines()
     assert csv_lines[0] == "s,lambda,weighted_lambda,dist_to_base,iters,residual"
     assert len(csv_lines) == 4
-    data = json.loads(open(paths["json"]).read())
+    data = json.loads(Path(paths["json"]).read_text())
     assert data["s_base"] == 0.3
     assert len(data["rows"]) == 3
     assert data["weighted_violation"] == 0.0
-    plot_lines = open(paths["plot"]).read().strip().splitlines()
+    plot_lines = Path(paths["plot"]).read_text().strip().splitlines()
     assert len(plot_lines) == 3
     s0, lam0 = plot_lines[0].split()
     assert float(s0) == 0.3 and float(lam0) == report.rows[0].lam
+
+
+def test_sweep_report_names_keep_a_dotted_prefix(tmp_path, interval16):
+    # with_suffix once wrote prefix run.v2 to run.csv and run.json, which
+    # prefix run.v3 then overwrote
+    report = s_sweep(interval16, 2.0, [0.3, 0.4], 0.3)
+    paths = [save_sweep_report(report, tmp_path / prefix) for prefix in ("run.v2", "run.v3")]
+    names = [Path(p).name for d in paths for p in d.values()]
+    assert names[:3] == ["run.v2.csv", "run.v2.json", "run.v2_lambda.dat"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(names)
+    assert save_sweep_report(report, tmp_path / "sweep")["json"] == str(tmp_path / "sweep.json")

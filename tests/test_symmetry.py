@@ -6,10 +6,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraceig.domain as domain_mod
-from fraceig import DomainSpec, FracParams, GridFunction, build_domain, lp_norm
+from fraceig import (
+    DomainSpec,
+    FracParams,
+    GridFunction,
+    build_domain,
+    dyadic_shifts,
+    first_eigenpair,
+    gagliardo_energy,
+    lp_norm,
+    rayleigh_quotient,
+    seminorm_distance,
+    translation_quotient_check,
+)
 from fraceig.core import EnergyKernel, energy_kernel
 
 from _oracles import energy_double_sum, hessian_loops, operator_double_sum
+from conftest import box_spec
 
 
 def mask_spec(rows) -> DomainSpec:
@@ -113,6 +126,40 @@ def test_dense_guard_applies_to_the_representative_rows(box8, monkeypatch):
     monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 10 * 64 - 1)
     with pytest.raises(ValueError, match="dense 10 x 64 pair array"):
         EnergyKernel(box8, params, fold=True)
+
+
+def test_public_energies_of_eigenfunctions_need_no_plain_table(monkeypatch):
+    # box16 has 36 orbits of 256 free cells: the budget admits the folded
+    # 36 x 256 rows and refuses the plain 256 x 256 table
+    params, low = FracParams(s=0.5, p=1.5), FracParams(s=0.4, p=1.5)
+    monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 36 * 256)
+    dom = build_domain(box_spec(1 / 16), t=4.0)
+    u = first_eigenpair(dom, params).eigenfunction
+    v = first_eigenpair(dom, low).eigenfunction
+    quotient = rayleigh_quotient(u, params)
+    distance = seminorm_distance(u, v, low)
+    report = translation_quotient_check(u, params, dyadic_shifts(dom))
+    with pytest.raises(ValueError, match="Omega x Omega table"):
+        energy_kernel(dom, params)
+    monkeypatch.undo()
+
+    def plain(f, prm):
+        return energy_kernel(dom, prm).energy(f.omega_values)
+
+    assert quotient == pytest.approx(plain(u, params) / lp_norm(u, 1.5) ** 1.5, rel=1e-13)
+    assert distance == pytest.approx(plain(u - v, low) ** (1 / 1.5), rel=1e-13)
+    assert report.sup_ratio == pytest.approx(max(report.ratios) / plain(u, params), rel=1e-13)
+
+
+def test_one_cell_off_the_orbits_takes_the_plain_kernel(box8):
+    params = FracParams(s=0.5, p=1.5)
+    sym = box8.symmetry
+    u_om = np.arange(1.0, 11.0)[sym.orbit]  # one value per orbit
+    folded = energy_kernel(box8, params, fold=True).energy(u_om[sym.reps])
+    assert gagliardo_energy(GridFunction.from_omega(box8, u_om), params) == folded
+    u_om[5] += 0.25  # every orbit of box8 has 4 or 8 cells
+    plain = energy_kernel(box8, params).energy(u_om)
+    assert gagliardo_energy(GridFunction.from_omega(box8, u_om), params) == plain
 
 
 @st.composite
