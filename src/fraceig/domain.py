@@ -38,8 +38,8 @@ __all__ = [
 # slack applied to geometric comparisons so exact lattice ties classify
 # deterministically instead of falling to rounding noise
 _GEOM_RTOL = 1e-12
-# entries per column chunk when streaming pair-weight tables; 2 MiB chunks
-# of gathered weights and their indices stay in cache
+# entries per chunk when streaming pair-weight tables by columns, or run sums
+# by rows; 2 MiB chunks of gathered weights and their indices stay in cache
 _CHUNK_ENTRIES = 1 << 18
 # bytes one dense float64 pair array may take; larger pair operations are
 # refused before anything of that size is allocated
@@ -283,15 +283,31 @@ def _circle_through(p1, p2, p3):
 
 
 def _hull_vertices(points: NDArray) -> NDArray:
-    """Convex hull vertices of a 2-D point set; all points when few or collinear."""
-    if len(points) > 3:
-        from scipy.spatial import ConvexHull, QhullError
+    """Convex hull vertices of a 2-D point set; all points when few or collinear.
 
-        try:
-            return points[ConvexHull(points).vertices]
-        except QhullError:  # collinear point sets
-            pass
-    return points
+    Andrew's monotone chain over the points sorted by (x, y); points in the
+    interior of a hull edge are dropped.  Of the points sharing one x only
+    the lowest and the highest can be vertices, so only those are scanned.
+    """
+    if len(points) <= 3:
+        return points
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    new_x = pts[1:, 0] != pts[:-1, 0]
+    pts = pts[np.r_[True, new_x] | np.r_[new_x, True]].tolist()
+
+    def half_hull(seq: list) -> list:
+        chain: list = []
+        for x, y in seq:
+            while len(chain) > 1:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain[:-1]
+
+    hull = half_hull(pts) + half_hull(pts[::-1])
+    return np.array(hull) if len(hull) > 2 else points
 
 
 def _enclosing_ball(points: NDArray) -> tuple[NDArray, float]:
@@ -519,10 +535,49 @@ class GridDomain:
             yield sl, table[row_key - key[cols[sl]]]
 
     def pair_power_sums(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
-        """Row sums of pair_powers: sum over j in cols of |x_i - x_j|^a, for i in rows."""
+        """Row sums of pair_powers: sum over j in cols of |x_i - x_j|^a, for i in rows.
+
+        cols splits into runs of cells consecutive along the last lattice
+        axis (sorted cols give the longest runs).  Seen from row i, a run
+        is one contiguous range of offsets dx in one row of the offset
+        table, and the table is even in dx, so each run costs two
+        differences of the one-sided suffix sums U[m] = sum over d >= m of
+        T[d] (one when the range does not straddle dx = 0).  The suffix
+        sums start at the far end, so a far run never cancels against the
+        large near terms.  The work is O(rows x runs + table size), in row
+        chunks of about _CHUNK_ENTRIES (row, run) pairs.
+        """
+        n = self.counts[-1]
+        table, _ = self._offset_table(a)
+        half = table.reshape(-1, 2 * n - 1)[:, n - 1 :]  # dx = 0, 1, ..., n - 1
+        suffix = np.zeros((len(half), n + 1))  # U[r, m], with U[r, n] = 0
+        np.cumsum(half[:, ::-1], axis=1, out=suffix[:, n - 1 :: -1])
+        del table, half  # frees the full table before the row chunks
+
+        # an offset key is (table row) * (2n - 1) + (last coordinate) + n - 1
+        key = self._offset_key[cols]
+        first = key[np.diff(key, prepend=key[:1] - 2) != 1]
+        span = key[np.diff(key, append=key[-1:] + 2) != 1] - first
+        run_row, run_x = np.divmod(first, 2 * n - 1)
+        row_row, row_x = np.divmod(self._offset_key[rows], 2 * n - 1)
+        row_row += len(suffix) // 2  # the zero offset sits in the middle table row
+        suffix = suffix.ravel()
+
         out = np.zeros(len(rows))
-        for _, block in self.pair_powers(rows, cols, a):
-            out += block.sum(axis=1)
+        step = max(1, _CHUNK_ENTRIES // max(len(first), 1))
+        for lo in range(0, len(rows), step):
+            sl = slice(lo, lo + step)
+            base = row_row[sl, None] - run_row
+            base *= n + 1
+            dx = row_x[sl, None] - run_x  # the offset to the run's first cell, its largest
+            # the part of [dx - span, dx] at dx >= 0, then the mirror of its part at dx < 0
+            near = np.maximum(dx - span, 0)
+            far = np.maximum(dx + 1, near)
+            sums = suffix[base + near] - suffix[base + far]
+            np.maximum(-dx, 1, out=near)
+            np.maximum(span + 1 - dx, near, out=far)
+            sums += suffix[base + near] - suffix[base + far]
+            out[sl] = sums.sum(axis=1)
         return out
 
     def orbit_power_sums(self, rows: NDArray, a: float) -> NDArray:

@@ -71,7 +71,15 @@ def oracle_rows(dom):
 
 class TestKernelTables:
     @pytest.mark.parametrize(
-        "name, s, p", [("interval8", 0.5, 2.0), ("interval8", 0.3, 1.5), ("box8", 0.5, 2.0), ("union2d", 0.3, 1.5)]
+        "name, s, p",
+        [
+            ("interval8", 0.5, 2.0),
+            ("interval8", 0.3, 1.5),
+            ("box8", 0.5, 2.0),
+            ("union2d", 0.3, 1.5),
+            ("holed6", 0.5, 2.0),
+            ("asym64", 0.3, 1.5),
+        ],
     )
     def test_matches_loop_oracle(self, name, s, p, request):
         dom = request.getfixturevalue(name)

@@ -1,9 +1,19 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fraceig
+import fraceig.domain as domain_mod
 
 from fraceig import (
     DirichletProblem,
@@ -25,7 +35,7 @@ from fraceig import (
 )
 
 from _oracles import max_pairwise_distance, poincare_search
-from conftest import box_spec, interval_spec, union_spec
+from conftest import box_spec, interval_spec, mask_spec, union_spec
 
 
 class TestBuildDomain:
@@ -297,3 +307,92 @@ class TestPoincareConstant:
         dom = build_domain(interval_spec(1 / 2), t=1.5)
         with pytest.raises(ValueError, match="no candidate ball"):
             poincare_constant(dom, FracParams(s=0.5, p=2.0))
+
+
+class TestHullVertices:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ks=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40, unique=True),
+        line=st.sampled_from([None, (1, 0), (0, 1), (1, 1), (2, -1)]),
+    )
+    def test_matches_qhull_on_lattice_points(self, ks, line):
+        from scipy.spatial import ConvexHull, QhullError
+
+        ks = np.array(ks)
+        if line is not None:  # a collinear set
+            ks = np.unique(ks[:, :1] * np.array(line), axis=0)
+        # dyadic coordinates keep every orientation test exact
+        points = 0.0625 + 0.125 * ks
+        try:
+            want = points[ConvexHull(points).vertices] if len(points) > 3 else points
+        except QhullError:  # collinear: every point stays
+            want = points
+        got = domain_mod._hull_vertices(points)
+        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+
+def test_domain_build_leaves_scipy_spatial_unimported():
+    code = (
+        "import sys, fraceig.cli\n"
+        "from fraceig import DomainSpec, build_domain\n"
+        "build_domain(DomainSpec(dim=2, h=1 / 8, shape={'type': 'box', 'min': [0, 0], 'max': [1, 1]}))\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fraceig.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@st.composite
+def holed_masks(draw):
+    """A 1D or 2D mask with holes, so lattice rows hold several runs of cells."""
+    dim = draw(st.sampled_from([1, 2]))
+    shape = [draw(st.integers(1, 16 if dim == 1 else 7)) for _ in range(dim)]
+    size = int(np.prod(shape))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    assume(any(flags))
+    return np.reshape(np.array(flags, dtype=int), shape)
+
+
+class TestPairPowerSums:
+    @settings(max_examples=40, deadline=None)
+    @given(mask=holed_masks(), s=st.floats(0.01, 0.99), p=st.floats(1.01, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_run_sums_match_the_gather(self, mask, s, p, seed):
+        try:
+            dom = build_domain(mask_spec(mask), t=4.0)
+        except ValueError:  # shapes the grid refuses
+            assume(False)
+        rng = np.random.default_rng(seed)
+        a = -(dom.dim + s * p)
+        rows = np.arange(dom.n_cells)
+        cols = np.flatnonzero(rng.random(dom.n_cells) < rng.uniform(0.2, 1.0))
+        for order in (dom.other_indices, cols, rng.permutation(cols)):
+            gather = dom.pair_power(rows, order, a, "the gather").sum(axis=1)
+            np.testing.assert_allclose(dom.pair_power_sums(rows, order, a), gather, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "spec, fold", [(box_spec(1 / 32), True), (interval_spec(1 / 1024), False)], ids=["box32-folded", "interval1024"]
+    )
+    def test_exterior_sums_match_fsum(self, spec, fold):
+        dom = build_domain(spec, t=4.0)
+        rows = dom.omega_indices[dom.symmetry.reps] if fold else dom.omega_indices
+        cols = dom.other_indices
+        dist = [dom.h * np.sqrt(np.sum((dom.coords[cols] - dom.coords[i]) ** 2, axis=1)) for i in rows]
+        # slow decay, then fast decay, where the far runs' sums are smallest
+        for s, p in ((0.1, 1.5), (0.9, 3.0)):
+            a = -(dom.dim + s * p)
+            exact = [math.fsum(d**a) for d in dist]
+            np.testing.assert_allclose(dom.pair_power_sums(rows, cols, a), exact, rtol=1e-14, atol=0)
+
+    def test_row_chunks_bound_the_memory(self):
+        # 4,096 rows x 424 exterior runs: one unchunked temporary would take 13 MiB
+        dom = build_domain(box_spec(1 / 64), t=4.0)
+        rows, cols = dom.omega_indices, dom.other_indices
+        dom._offset_key  # cached with the grid
+        tracemalloc.start()
+        try:
+            dom.pair_power_sums(rows, cols, -3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * domain_mod._CHUNK_ENTRIES

@@ -8,6 +8,7 @@ import fraceig.domain as domain_mod
 import fraceig.eigen as eigen_mod
 from fraceig import (
     ConvergenceError,
+    DomainSpec,
     FracParams,
     GridFunction,
     SolverConfig,
@@ -62,6 +63,33 @@ class TestP2Oracle:
         monkeypatch.setattr(eigen_mod, "_ORACLE_MAX_FREE", 4)
         with pytest.raises(ValueError, match="dense-oracle limit"):
             p2_oracle(interval16, P2)
+
+
+def puncture_gap(s: float, h: float) -> float:
+    """lambda(Omega_h) / lambda((0, 2 + h)) - 1 at p = 2, where Omega_h =
+    (0, 1) u (1 + h, 2 + h) is the interval less its middle cell."""
+    params = FracParams(s=s, p=2.0)
+    parts = [{"type": "interval", "a": 0.0, "b": 1.0}, {"type": "interval", "a": 1.0 + h, "b": 2.0 + h}]
+    holed = build_domain(DomainSpec(dim=1, h=h, shape={"type": "union", "parts": parts}), t=4.0)
+    full = build_domain(interval_spec(h, b=2.0 + h), t=4.0)
+    return p2_oracle(holed, params).lam / p2_oracle(full, params).lam - 1.0
+
+
+class TestPunctureDichotomy:
+    """A point has positive (s,p)-capacity in 1D exactly when sp > 1, so the
+    eigenvalue shift of a one-cell puncture vanishes as h -> 0 when sp < 1
+    and stays when sp > 1.  The hole is an exterior run inside Omega."""
+
+    H = (1 / 256, 1 / 512, 1 / 1024)
+
+    def test_gap_vanishes_at_order_one_minus_sp_below_the_threshold(self):
+        gaps = [puncture_gap(0.3, h) for h in self.H]
+        orders = np.log2(np.divide(gaps[:-1], gaps[1:]))
+        assert np.all((orders >= 0.38) & (orders <= 0.42)), orders  # 1 - sp = 0.4
+
+    def test_gap_stays_above_the_threshold(self):
+        gaps = [puncture_gap(0.7, h) for h in self.H]
+        assert min(gaps) >= 1.0, gaps
 
 
 class TestFirstEigenpair:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import fraceig.domain as domain_mod
 from fraceig import (
-    DomainSpec,
     FracParams,
     GridFunction,
     build_domain,
@@ -22,34 +21,7 @@ from fraceig import (
 from fraceig.core import EnergyKernel, energy_kernel
 
 from _oracles import energy_double_sum, hessian_loops, operator_double_sum
-from conftest import box_spec
-
-
-def mask_spec(rows) -> DomainSpec:
-    """A mask shape of unit cells, rows[i][j] the flag of cell (i, j)."""
-    cells = np.asarray(rows, dtype=int)
-    h = 1.0 / max(cells.shape)
-    return DomainSpec(
-        dim=cells.ndim,
-        h=h,
-        shape={"type": "mask", "origin": [0.5 * h] * cells.ndim,
-               "counts": list(cells.shape), "cells": cells.ravel().tolist()},
-    )
-
-
-@pytest.fixture(scope="module")
-def holed6():
-    # a 6 x 6 square with the cell (1, 2) removed: no reflection keeps Omega
-    rows = np.ones((6, 6), dtype=int)
-    rows[1, 2] = 0
-    return build_domain(mask_spec(rows), t=4.0)
-
-
-@pytest.fixture(scope="module")
-def asym64():
-    # [0, 1] and [1.5, 2]: the parts differ in length, so no reflection applies
-    parts = [{"type": "interval", "a": 0.0, "b": 1.0}, {"type": "interval", "a": 1.5, "b": 2.0}]
-    return build_domain(DomainSpec(dim=1, h=1 / 64, shape={"type": "union", "parts": parts}), t=4.0)
+from conftest import box_spec, mask_spec
 
 
 def expansion(dom) -> np.ndarray:
