@@ -30,11 +30,6 @@ __all__ = [
     "nonlocal_divergence",
 ]
 
-# relative gradient level below which Newton-type solves cannot polish
-# further for p < 2 (eps times the tie-driven condition number);
-# gradient_floor applies it only there
-_REL_POLISH_FLOOR = 1e-7
-
 
 def phi_p(z: NDArray, p: float) -> NDArray:
     """Odd power |z|^(p-2) z, continuously extended by 0 at z = 0."""
@@ -185,11 +180,14 @@ class EnergyKernel:
         if self.symmetry.order == 1:
             self.K_oo = dom.pair_power(om, om, -self.exponent, what)
         else:
-            check_dense_pairs(len(reps), len(om), what)
-            w = mult[:, None] * dom.orbit_power_sums(om[reps], -self.exponent)
+            check_dense_pairs(len(reps), len(reps), what)
+            w = dom.orbit_power_sums(om[reps], -self.exponent)
             # W_ab = W_ba in exact arithmetic; LAPACK reads one triangle
-            self.K_oo = 0.5 * (w + w.T)
-            np.fill_diagonal(self.K_oo, 0.0)
+            w *= mult[:, None]
+            w += w.T
+            w *= 0.5
+            np.fill_diagonal(w, 0.0)
+            self.K_oo = w
         self.k_out = mult * dom.pair_power_sums(om[reps], dom.other_indices, -self.exponent)
 
     def dual_norm(self, v: NDArray) -> float:
@@ -291,8 +289,8 @@ class EnergyKernel:
         outer = float(np.sum(self.k_out * (phi_p(u_om, p) - phi_p(v_om, p)) * (u_om - v_om)))
         return self.h2n * (inner + 2.0 * outer)
 
-    def residual_floor(self, u_om: NDArray) -> float:
-        """Achievable floor of the weak-residual norm at u.
+    def gradient_floor(self, u_om: NDArray) -> float:
+        """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at u.
 
         Two float effects bound any solver.  Accumulated roundoff scales
         with eps times the absolute-value assembly, the l2 norm of the
@@ -301,8 +299,10 @@ class EnergyKernel:
         value moves a pair difference z by about eps*max|u|, whose image
         under the odd power jumps by (|z|+ulp)^(p-1) - |z|^(p-1); across
         near-tie pairs (z = 0 in exact arithmetic) this dwarfs linear
-        roundoff.  One pass over the pairs serves both; both norms are
-        dual_norm.
+        roundoff.  One pass over the pairs serves both; the floor is the
+        larger, in dual_norm, with a 4x margin.  It does not depend on b.
+        Only the drivers apply it: first_eigenpair in its stop test,
+        solve_dirichlet in its check after the run.
         """
         p = self.params.p
         eps = np.finfo(float).eps
@@ -321,23 +321,7 @@ class EnergyKernel:
         jump = np.concatenate(jumps) + ((zi + delta) ** (p - 1.0) - zi_p) * self.k_out
         env = np.concatenate(envs) + zi_p * self.k_out
         granularity = self.dual_norm(2.0 * self.h2n * jump)
-        return max(granularity, eps * self.dual_norm(2.0 * self.h2n * env))
-
-    def gradient_floor(self, w: NDArray, b_norm: float) -> float:
-        """Gradient norm of (1/p) energy(w) - <b, w> that no solver can beat at w.
-
-        The assembly floor residual_floor with a 4x margin, in dual_norm.
-        For p < 2 the polishing limit _REL_POLISH_FLOOR * ||b|| is taken
-        when larger: near-tie pairs drive the Hessian's condition number
-        there, in the inner Newton solves and the bordered Newton steps
-        alike.  For p >= 2 the pair weights stay bounded at ties and Newton
-        reaches the computed floor.  Only the drivers apply it: first_eigenpair
-        in its stop test, solve_dirichlet in its check after the run.
-        """
-        floor = 4.0 * self.residual_floor(w)
-        if self.params.p < 2.0:
-            return max(floor, _REL_POLISH_FLOOR * b_norm)
-        return floor
+        return 4.0 * max(granularity, eps * self.dual_norm(2.0 * self.h2n * env))
 
     def psmall_pairwise_gap(self, u_om: NDArray, v_om: NDArray):
         """Worst gap of the 1<p<2 pairwise monotonicity inequality.

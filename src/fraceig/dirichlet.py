@@ -72,33 +72,29 @@ def solve_dirichlet(
 
     Strict convexity plus the Poincare bound make the objective coercive,
     so descent converges globally; the returned iterate has weak residual
-    below cfg.inner_tol relative to the datum scale, capped below by the
-    float polishing floor of the p < 2 endgame (about 1e-7 relative: the
-    Newton direction accuracy is eps times the tie-driven condition
-    number, and pair-difference granularity bounds the gradient itself).
-    start overrides the default scale-matched starting point (the
-    minimizer is unique, so any start reaches it).  cfg.max_iter_inner
-    bounds the objective evaluations of the single inner solve;
-    ConvergenceError (carrying the last iterate) is raised when that solve
-    ends above the float floor.
+    below cfg.inner_tol relative to the datum scale, or a gradient at most
+    the computed float floor kern.gradient_floor (assembly roundoff and,
+    for p < 2, pair-difference granularity).  start overrides the default
+    scale-matched starting point (the minimizer is unique, so any start
+    reaches it).  cfg.max_iter_inner bounds the objective evaluations of
+    the single inner solve; ConvergenceError (carrying the last iterate)
+    is raised when that solve ends above the float floor.
     """
     dom = prob.host
     kern = energy_kernel(dom, prob.params)
     b = prob.effective_datum() * kern.hn
-    b_norm = float(np.linalg.norm(b))
-    gtol = cfg.inner_tol * max(b_norm, 1e-300)
+    gtol = cfg.inner_tol * max(float(np.linalg.norm(b)), 1e-300)
     x0 = None  # minimize_energy's scale-matched quadratic-form start
     if start is not None:
         if start.host is not dom:
             raise ValueError("start function lives on a different host")
         x0 = start.omega_values
     res = minimize_energy(kern, b, x0, gtol, cfg.max_iter_inner)
-    # a stalled gradient at the float floor (assembly roundoff,
-    # pair-difference granularity, or the relative polishing limit of the
-    # Newton endgame) is not missing optimality; the floor is applied
-    # only after the run, since the energy identity and first-order checks
-    # need polish below it where it is reachable
-    if not res.converged and res.grad_norm > kern.gradient_floor(res.x, b_norm):
+    # a stalled gradient at the float floor (assembly roundoff or
+    # pair-difference granularity) is not missing optimality; the floor is
+    # applied only after the run, since the energy identity and first-order
+    # checks need polish below it where it is reachable
+    if not res.converged and res.grad_norm > kern.gradient_floor(res.x):
         raise ConvergenceError(
             f"Dirichlet solve stalled at gradient norm {res.grad_norm:.3e} "
             f"after {res.evaluations} evaluations",

@@ -19,10 +19,11 @@ converges quadratically: the first eigenvalue is simple and its
 eigenfunction positive for every p > 1, so the bordered Jacobian is
 nonsingular there.  A Newton step that fails to solve, raises lambda or
 raises the residual is refused; the solve then stops if the iterate is
-at its float floor, and otherwise takes the inverse-power step.  For
-p < 2 the pair weights |u_i - u_j|^(p-2) blow up at near-ties that the
-symmetry does not explain, and a solve may end at that floor rather than
-at tol.
+at its float floor, and otherwise takes the inverse-power step.  A solve
+is converged only at tol or at the computed floor
+EnergyKernel.gradient_floor.  For p < 2 the pair weights
+|u_i - u_j|^(p-2) blow up at near-ties that the symmetry does not
+explain, and a solve may end at that floor rather than at tol.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ _ORACLE_MAX_FREE = 4096
 _NEWTON_SWITCH = 1e-2
 # slack for float noise in monotonicity checks near the iteration floor
 _TRACE_SLACK = 1e-11
-# objective evaluations allowed to one inner solve
-_INNER_BUDGET = 10000
 
 
 @dataclass
@@ -110,12 +109,12 @@ def _normalized(w: NDArray, p: float, mass: NDArray) -> NDArray | None:
 
 
 def _inverse_power_step(
-    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool
+    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool, max_evals: int
 ) -> NDArray:
     """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) mass.
 
     The inner solve stops at gradient norm 1e-2 min(1, res) ||b|| for the
-    outer residual res, within _INNER_BUDGET objective evaluations; an
+    outer residual res, within max_evals objective evaluations; an
     unconverged inner run still yields its last iterate, which the outer
     loop accepts or refuses on lambda.
     """
@@ -127,7 +126,7 @@ def _inverse_power_step(
     gtol = 1e-2 * min(1.0, res) * max(b_norm, 1e-300)
     # the indicator start carries exact pair ties; minimize_energy's
     # quadratic-form start gives a smooth first inner iterate instead
-    inner = minimize_energy(kern, b, None if first else u_om, gtol, _INNER_BUDGET)
+    inner = minimize_energy(kern, b, None if first else u_om, gtol, max_evals)
     u_new = _normalized(np.abs(inner.x), p, mass)
     if u_new is None:
         raise ConvergenceError("inner solve collapsed to zero", partial=None)
@@ -190,7 +189,7 @@ def first_eigenpair(
     Once the residual is at most _NEWTON_SWITCH, each outer step first
     tries a bordered Newton step.  One floor test decides convergence: the
     weak residual is at most cfg.tol, or res * ||b|| is at most
-    kern.gradient_floor(u, ||b||), b = lambda phi_p(u) h^N.  A Newton step
+    kern.gradient_floor(u), b = lambda phi_p(u) h^N.  A Newton step
     that fails, raises lambda by over 1e-12 relative or raises the
     residual is refused (logged at DEBUG); the solve then stops if the
     floor test holds, and otherwise takes the inverse-power step, whose
@@ -199,8 +198,9 @@ def first_eigenpair(
     floor, or at the float fixed point: a step that leaves u unchanged or
     raises lambda by over 1e-12 relative, which is refused.  converged is
     the floor test at exit; otherwise ConvergenceError carries the partial
-    eigenpair.  Of cfg, only tol and max_iter_outer are read;
-    _inverse_power_step sets each inner solve.
+    eigenpair.  cfg.max_iter_inner bounds the objective evaluations of
+    each inner solve, whose tolerance _inverse_power_step sets from the
+    outer residual; cfg.inner_tol is not read.
     """
     if dom.n_omega == 0:
         raise ValueError("domain has no Omega cell")
@@ -226,7 +226,7 @@ def first_eigenpair(
         if res <= cfg.tol:
             return True
         b_norm = lam * kern.dual_norm(phi_p(u_om, p) * mass)
-        return res * b_norm <= kern.gradient_floor(u_om, b_norm)
+        return res * b_norm <= kern.gradient_floor(u_om)
 
     stop_reason = "budget"
     n = 0
@@ -244,7 +244,7 @@ def first_eigenpair(
                 if at_floor():
                     break
         if u_new is None:
-            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1)
+            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg.max_iter_inner)
             lam_new, grad_new, res_new = _evaluate(kern, u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate

@@ -41,8 +41,11 @@ class SolverConfig:
     """Iteration limits, tolerances and reproducibility knobs.
 
     tol is the relative stopping tolerance on both the eigenvalue change
-    and the weak residual; the eigen solver sets its own inner solves, and
-    inner_tol and max_iter_inner bound the convex solve of solve_dirichlet.
+    and the weak residual; max_iter_inner bounds the objective evaluations
+    of every inner convex solve, and inner_tol is the relative gradient
+    target of solve_dirichlet (the eigen solver sets its inner targets
+    from its outer residual).  A solve is converged only below tol or at
+    the computed float floor (EnergyKernel.gradient_floor).
     seed feeds every randomized property check; threads sets the worker
     count of s_sweep (one eigensolve per s) and of the far-field quadrature
     of the equivalence suite, at most one per CPU, and never changes a result.

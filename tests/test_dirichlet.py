@@ -127,7 +127,7 @@ class TestSolveDirichlet:
     def test_float_flat_stall_restarts(self, interval256):
         # datum f2 of ordered pair 7 of `verify --suite comparison --seed 42`
         # at s=0.75, p=1.5: the inner objective goes float-flat with the
-        # gradient still above the polishing floor
+        # gradient still above the float floor
         rng = np.random.default_rng(42)
         for _ in range(8):
             f1 = rng.standard_normal(interval256.n_omega)

@@ -25,7 +25,7 @@ from fraceig import (
 from fraceig.core import energy_kernel, phi_p
 
 from _oracles import dense_p2_eigenpair
-from conftest import box_spec, interval_spec, random_function
+from conftest import box_spec, interval_spec, mask_spec, random_function
 
 P2 = FracParams(s=0.5, p=2.0)
 
@@ -92,6 +92,43 @@ class TestPunctureDichotomy:
         assert min(gaps) >= 1.0, gaps
 
 
+def box_puncture_gap(s: float, p: float, k: int) -> float:
+    """lambda(Q_k) / lambda(Q) - 1 on the unit box Q at h = 1/k (k odd),
+    where Q_k is Q less its centre cell; both keep the order-8 group."""
+    rows = np.ones((k, k), dtype=int)
+    pairs = []
+    for hole in (False, True):
+        rows[k // 2, k // 2] = 0 if hole else 1
+        pair = first_eigenpair(build_domain(mask_spec(rows), t=4.0), FracParams(s=s, p=p))
+        assert pair.stop_reason == "tol" and pair.group_order == 8
+        pairs.append(pair)
+    return pairs[1].lam / pairs[0].lam - 1.0
+
+
+class TestPunctureDichotomy2D:
+    """In 2D a point has positive (s,p)-capacity exactly when sp > 2: the
+    gap of a one-cell puncture vanishes like h^(2-sp) below the threshold
+    and stays above it."""
+
+    K = (15, 31, 63)
+
+    def orders(self, s: float, p: float):
+        gaps = [box_puncture_gap(s, p, k) for k in self.K]
+        return np.log2(np.divide(gaps[:-1], gaps[1:]))
+
+    def test_gap_vanishes_at_order_one_when_sp_is_one(self):
+        orders = self.orders(0.5, 2.0)  # 0.958, 0.970
+        assert np.all((orders >= 0.9) & (orders <= 1.05)), orders
+
+    def test_gap_vanishes_at_a_slower_order_when_sp_is_larger(self):
+        orders = self.orders(0.5, 3.0)  # 0.687, 0.665; h^(2-sp) predicts 0.5
+        assert np.all((orders >= 0.5) & (orders <= 0.75)), orders
+
+    def test_gap_stays_above_the_threshold(self):
+        gaps = [box_puncture_gap(0.9, 3.0, k) for k in self.K]  # 0.695, 0.606, 0.549
+        assert min(gaps) >= 0.5, gaps
+
+
 class TestFirstEigenpair:
     def test_matches_oracle(self, interval64):
         for s in (0.3, 0.5, 0.7):
@@ -128,6 +165,26 @@ class TestFirstEigenpair:
         assert pair.stop_reason == "tol"
         assert pair.residual <= SolverConfig().tol
         assert pair.lam == pytest.approx(37.54532402420353, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, p, lam",
+        [
+            ("box64", 1.5, 39.615449371630405),
+            ("asym64", 1.5, 12.68171669630231),
+            ("box24", 1.2, 35.77338676121127),
+        ],
+    )
+    def test_p_small_stop_rests_on_tol(self, name, p, lam, request):
+        # a fixed 1e-7 ||b|| floor for p < 2 stopped these as "float floor",
+        # at residual 7.4e-8, 5.6e-8 and 1.0e-8
+        if name == "asym64":
+            dom = request.getfixturevalue(name)
+        else:
+            dom = build_domain(box_spec(1 / int(name[3:])), t=4.0)
+        pair = first_eigenpair(dom, FracParams(s=0.5, p=p))
+        assert pair.stop_reason == "tol"
+        assert pair.residual <= SolverConfig().tol
+        assert pair.lam == pytest.approx(lam, rel=1e-12)
 
     def test_p14_box8_converges(self, box8):
         # the unfolded solve raised "stalled" at residual 1.7e-6
@@ -263,12 +320,12 @@ class TestFirstEigenpair:
         assert partial.stop_reason == "budget"
         assert len(partial.trace) >= 2
 
-    def test_fixed_point_above_floor_is_stalled(self, interval16, monkeypatch):
+    def test_fixed_point_above_floor_is_stalled(self, interval16):
         # one evaluation per inner solve returns each start unchanged, so
         # the iteration reaches its float fixed point far above the floor
-        monkeypatch.setattr(eigen_mod, "_INNER_BUDGET", 1)
+        cfg = SolverConfig(max_iter_inner=1)
         with pytest.raises(ConvergenceError, match="stalled above the float floor") as exc_info:
-            first_eigenpair(interval16, FracParams(s=0.5, p=3.0))
+            first_eigenpair(interval16, FracParams(s=0.5, p=3.0), cfg)
         partial = exc_info.value.partial
         assert partial.stop_reason == "stalled"
         assert not partial.converged and partial.residual > 1e-3
@@ -288,7 +345,7 @@ class TestFirstEigenpair:
             kern = energy_kernel(dom, params)
             u = pair.eigenfunction.omega_values
             b_norm = pair.lam * float(np.linalg.norm(phi_p(u, p))) * kern.hn
-            assert pair.residual * b_norm <= kern.gradient_floor(u, b_norm)
+            assert pair.residual * b_norm <= kern.gradient_floor(u)
 
     @pytest.mark.parametrize(
         "name, p, lam",

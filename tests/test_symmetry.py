@@ -89,14 +89,15 @@ def test_trivial_group_keeps_the_plain_tables_bit_for_bit(asym64):
 
 
 def test_dense_guard_applies_to_the_representative_rows(box8, monkeypatch):
-    # box8 has 10 orbits of 64 free cells: 10 x 64 rows fit where 64 x 64 does not
+    # box8 has 10 orbits of 64 free cells: the folded build streams the
+    # 10 x 64 representative rows in chunks and stores only 10 x 10
     monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 10 * 64)
     params = FracParams(s=0.5, p=2.0)
     assert EnergyKernel(box8, params, fold=True).K_oo.shape == (10, 10)
     with pytest.raises(ValueError, match="energy kernel's Omega x Omega table"):
         EnergyKernel(box8, params)
-    monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 10 * 64 - 1)
-    with pytest.raises(ValueError, match="dense 10 x 64 pair array"):
+    monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 10 * 10 - 1)
+    with pytest.raises(ValueError, match="dense 10 x 10 pair array"):
         EnergyKernel(box8, params, fold=True)
 
 
