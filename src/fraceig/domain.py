@@ -356,6 +356,14 @@ def _set_diameter(points: NDArray) -> float:
 # the grid domain
 
 
+def _signed_view(arr: NDArray, a: NDArray) -> NDArray:
+    """arr, given over a box that the map y -> a y + c takes onto itself, read
+    through that map: view[y] = arr[a y + c], as a transposed and flipped view."""
+    axes = np.abs(a).argmax(axis=0)  # view axis k runs along arr's axis axes[k]
+    flipped = np.flatnonzero(a.sum(axis=0) < 0)
+    return np.flip(np.transpose(arr, axes), tuple(flipped.tolist()))
+
+
 class Symmetry(NamedTuple):
     """Orbits of the Omega cells under a group of lattice symmetries.
 
@@ -451,44 +459,35 @@ class GridDomain:
         """(M, dim) integer lattice coordinates: cells = origin + h * coords."""
         return np.stack(np.unravel_index(self.lattice_index, self.counts), axis=1)
 
-    @cached_property
-    def _offset_key(self) -> NDArray:
-        """Flat index of each cell's offset coords[i] in the offset table;
-        the index is linear, so offset coords[i] - coords[j] sits at
-        key[i] - key[j] + the index of the zero offset."""
-        counts = np.asarray(self.counts)
-        return np.ravel_multi_index((self.coords + counts - 1).T, tuple(2 * counts - 1))
-
-    @cached_property
-    def _cell_at(self) -> NDArray:
-        """Ball-cell index at each flat bounding-lattice index, -1 off the ball."""
-        cell_at = np.full(int(np.prod(self.counts)), -1)
-        cell_at[self.lattice_index] = np.arange(self.n_cells)
-        return cell_at
+    def _box_maps(self) -> tuple[list[tuple[NDArray, NDArray]], NDArray]:
+        """lattice_symmetries, and the labels they keep: an int8 array over
+        the ball cells' coordinate box, 0 off the ball, 1 on a ball cell and
+        2 on an Omega cell."""
+        full = np.zeros(self.counts, dtype=np.int8)
+        full.reshape(-1)[self.lattice_index] = 1 + self.omega_mask
+        axes = range(self.dim)
+        span = [np.flatnonzero(full.any(axis=tuple(e for e in axes if e != d))) for d in axes]
+        labels = full[tuple(slice(k[0], k[-1] + 1) for k in span)]
+        lo, hi = np.array([k[0] for k in span]), np.array([k[-1] for k in span])
+        maps = []
+        for perm in itertools.permutations(range(self.dim)):
+            for signs in itertools.product((1, -1), repeat=self.dim):
+                a = np.eye(self.dim, dtype=np.int64)[list(perm)] * np.array(signs)[:, None]
+                if np.array_equal(_signed_view(labels, a), labels):
+                    maps.append((a, lo - np.minimum(a @ lo, a @ hi)))
+        return maps, labels
 
     def lattice_symmetries(self) -> list[tuple[NDArray, NDArray]]:
         """Every map coords -> coords @ A.T + c that maps the ball cells and
         the Omega cells onto themselves, as (A, c); the identity comes first.
 
         A runs over the signed axis permutations, and c maps the ball cells'
-        coordinate bounding box onto itself.  Each map is checked exactly on
-        the integer coords; such a map keeps every pair distance, so the
-        kernel tables are invariant under it.
+        coordinate box onto itself.  Each map is checked exactly on the
+        box's labels (off the ball, ball, Omega), read through the map as a
+        transposed and flipped view; such a map keeps every pair distance,
+        so the kernel tables are invariant under it.
         """
-        coords = self.coords
-        lo, hi = coords.min(axis=0), coords.max(axis=0)
-        maps = []
-        for perm in itertools.permutations(range(self.dim)):
-            for signs in itertools.product((1, -1), repeat=self.dim):
-                a = np.eye(self.dim, dtype=np.int64)[list(perm)] * np.array(signs)[:, None]
-                c = lo - np.minimum(a @ lo, a @ hi)
-                image = coords @ a.T + c
-                if not np.array_equal(image.max(axis=0), hi):
-                    continue  # the box is not mapped onto itself
-                cells = self._cell_at[np.ravel_multi_index(image.T, self.counts)]
-                if np.all(cells >= 0) and np.array_equal(self.omega_mask[cells], self.omega_mask):
-                    maps.append((a, c))
-        return maps
+        return self._box_maps()[0]
 
     @cached_property
     def symmetry(self) -> Symmetry:
@@ -497,42 +496,46 @@ class GridDomain:
         A functional that every map leaves invariant, such as the energy,
         has a simple positive minimizer that is constant on each orbit.
         """
-        maps = self.lattice_symmetries()
-        om = self.omega_indices
-        position = np.full(self.n_cells, -1)
-        position[om] = np.arange(len(om))
-        images = [
-            position[self._cell_at[np.ravel_multi_index((self.coords[om] @ a.T + c).T, self.counts)]]
-            for a, c in maps
-        ]
+        maps, labels = self._box_maps()
+        # Omega positions ascend in row-major order, as the cells of the box do
+        omega = labels == 2
+        position = np.full(labels.shape, -1)
+        position[omega] = np.arange(self.n_omega)
+        images = [_signed_view(position, a)[omega] for a, _ in maps]
         reps, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
         return Symmetry(orbit, reps, np.bincount(orbit).astype(float), len(maps))
 
-    def _offset_table(self, a: float) -> tuple[NDArray, int]:
-        """T[k] = (h |k|)^a over the integer offsets k of the bounding
-        lattice, flattened, with T = 0 at the zero offset; and that index."""
-        r2 = functools.reduce(np.add.outer, [np.arange(1 - c, c, dtype=float) ** 2 for c in self.counts])
+    def _offset_table(self, a: float, lo: NDArray, hi: NDArray) -> NDArray:
+        """T[k] = (h |k|)^a over the integer offsets lo <= k <= hi, flattened
+        row-major, with T = 0 at the zero offset."""
+        r2 = functools.reduce(np.add.outer, [np.arange(l, u + 1, dtype=float) ** 2 for l, u in zip(lo, hi)])
+        r2 = r2.ravel()
         with np.errstate(divide="ignore"):
-            table = (self.h * np.sqrt(r2.ravel())) ** a
-        zero = len(table) // 2
-        table[zero] = 0.0
-        return table, zero
+            table = (self.h * np.sqrt(r2)) ** a
+        table[r2 == 0.0] = 0.0
+        return table
 
     def pair_powers(self, rows: NDArray, cols: NDArray, a: float) -> Iterator[tuple[slice, NDArray]]:
         """Yield (sl, |x_i - x_j|^a for i in rows, j in cols[sl]), 0 where i == j.
 
         Every center sits on the lattice origin + h k, so each value is an
-        entry of the offset table, gathered by key difference.  Each column
-        chunk holds about _CHUNK_ENTRIES values, so Omega-by-ball tables
-        stream through bounded memory on the largest grids.
+        entry of the offset table over the box of offsets coords[rows] -
+        coords[cols], gathered by key difference.  Each column chunk holds
+        about _CHUNK_ENTRIES values, so Omega-by-ball tables stream through
+        bounded memory on the largest grids.
         """
-        table, zero = self._offset_table(a)
-        key = self._offset_key
-        row_key = key[rows][:, None] + zero
+        row_at, col_at = self.coords[rows], self.coords[cols]
+        lo = row_at.min(axis=0) - col_at.max(axis=0)
+        hi = row_at.max(axis=0) - col_at.min(axis=0)
+        strides = np.cumprod(np.r_[1, (hi - lo + 1)[:0:-1]])[::-1]
+        # the key is linear, so offset x_i - x_j sits at row_key[i] - col_key[j]
+        row_key = (row_at - lo) @ strides
+        col_key = col_at @ strides
+        table = self._offset_table(a, lo, hi)
         step = max(1, _CHUNK_ENTRIES // max(len(rows), 1))
-        for lo in range(0, len(cols), step):
-            sl = slice(lo, lo + step)
-            yield sl, table[row_key - key[cols[sl]]]
+        for start in range(0, len(cols), step):
+            sl = slice(start, start + step)
+            yield sl, table[row_key[:, None] - col_key[sl]]
 
     def pair_power_sums(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
         """Row sums of pair_powers: sum over j in cols of |x_i - x_j|^a, for i in rows.
@@ -542,31 +545,34 @@ class GridDomain:
         is one contiguous range of offsets dx in one row of the offset
         table, and the table is even in dx, so each run costs two
         differences of the one-sided suffix sums U[m] = sum over d >= m of
-        T[d] (one when the range does not straddle dx = 0).  The suffix
-        sums start at the far end, so a far run never cancels against the
-        large near terms.  The work is O(rows x runs + table size), in row
-        chunks of about _CHUNK_ENTRIES (row, run) pairs.
+        T[d] (one when the range does not straddle dx = 0).  Only that
+        dx >= 0 half of the table is built.  The suffix sums start at the
+        far end, so a far run never cancels against the large near terms.
+        The work is O(rows x runs + table size), in row chunks of about
+        _CHUNK_ENTRIES (row, run) pairs.
         """
         n = self.counts[-1]
-        table, _ = self._offset_table(a)
-        half = table.reshape(-1, 2 * n - 1)[:, n - 1 :]  # dx = 0, 1, ..., n - 1
+        lo = np.array([1 - c for c in self.counts[:-1]] + [0])
+        half = self._offset_table(a, lo, np.array(self.counts) - 1).reshape(-1, n)  # dx = 0, ..., n - 1
         suffix = np.zeros((len(half), n + 1))  # U[r, m], with U[r, n] = 0
         np.cumsum(half[:, ::-1], axis=1, out=suffix[:, n - 1 :: -1])
-        del table, half  # frees the full table before the row chunks
+        del half  # frees the table before the row chunks
 
-        # an offset key is (table row) * (2n - 1) + (last coordinate) + n - 1
-        key = self._offset_key[cols]
+        # (lattice row) * (n + 1) + (last coordinate): cells consecutive
+        # along the last axis differ by 1, cells of two lattice rows by more
+        key = self.lattice_index[cols]
+        key += key // n
         first = key[np.diff(key, prepend=key[:1] - 2) != 1]
         span = key[np.diff(key, append=key[-1:] + 2) != 1] - first
-        run_row, run_x = np.divmod(first, 2 * n - 1)
-        row_row, row_x = np.divmod(self._offset_key[rows], 2 * n - 1)
+        run_row, run_x = np.divmod(first, n + 1)
+        row_row, row_x = np.divmod(self.lattice_index[rows], n)
         row_row += len(suffix) // 2  # the zero offset sits in the middle table row
         suffix = suffix.ravel()
 
         out = np.zeros(len(rows))
         step = max(1, _CHUNK_ENTRIES // max(len(first), 1))
-        for lo in range(0, len(rows), step):
-            sl = slice(lo, lo + step)
+        for start in range(0, len(rows), step):
+            sl = slice(start, start + step)
             base = row_row[sl, None] - run_row
             base *= n + 1
             dx = row_x[sl, None] - run_x  # the offset to the run's first cell, its largest

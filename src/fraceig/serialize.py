@@ -1,8 +1,8 @@
 """File formats: domain specs, grid functions, eigenpairs, problems, reports.
 
-Everything is UTF-8 JSON or CSV with a header row, except the optional
-binary grid-function format: one JSON header line, a newline, then the
-cell values as raw little-endian float64 in the host's row-major order.
+Everything is UTF-8 JSON on one line or CSV with a header row, except the
+optional binary grid-function format: one JSON header line, a newline, then
+the cell values as raw little-endian float64 in the host's row-major order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ __all__ = [
 
 
 def save_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    # json's C encoder runs only without indent; floats keep their round-trip repr
+    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
 def _load_object(path, what: str) -> dict:
@@ -85,19 +86,22 @@ def save_grid_function(u: GridFunction, path, binary: bool = False) -> None:
 
 
 def load_grid_function(path, host: GridDomain) -> GridFunction:
+    """A grid function written by save_grid_function, in either format: a
+    first line that holds a JSON object without values is the header of
+    binary values after it; anything else is one JSON text."""
     raw = Path(path).read_bytes()
-    if raw.lstrip().startswith(b"{") and b"\n" in raw and raw.lstrip().split(b"\n", 1)[0].rstrip().endswith(b"}"):
-        first, rest = raw.split(b"\n", 1)
-        try:
-            head = json.loads(first.decode("utf-8"))
-        except json.JSONDecodeError:
-            head = None
-        if head is not None and "values" not in head:
-            _check_header(head, host)
-            values = np.frombuffer(rest, dtype="<f8")
-            return GridFunction(np.array(values), host)
-    data = json.loads(raw.decode("utf-8"))
+    first, _, payload = raw.partition(b"\n")
+    try:
+        data = json.loads(first)
+    except ValueError:  # a JSON text over several lines
+        data, payload = json.loads(raw), b""
+    if not isinstance(data, dict):
+        raise ValueError(f"grid function {path} must hold a JSON object, got {type(data).__name__}")
     _check_header(data, host)
+    if "values" not in data and payload:
+        return GridFunction(np.frombuffer(payload, dtype="<f8").copy(), host)
+    if payload.strip():
+        raise ValueError(f"grid function {path} holds data after its JSON object")
     return GridFunction(json_field(data, "values", as_floats), host)
 
 

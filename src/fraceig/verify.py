@@ -22,6 +22,7 @@ from .asymptotics import (
 from .core import (
     GridFunction,
     PairFunction,
+    _pair_weight,
     gagliardo_energy,
     lp_norm,
     nonlocal_divergence,
@@ -96,10 +97,15 @@ def _suite_clarkson(dom, params, cfg, rng):
 
 
 def _suite_adjoint(dom, params, cfg, rng):
+    """<u, div phi> = <phi, grad u>, each draw within the roundoff of its own
+    sums: eps times the sums of the absolute terms of both sides, relative
+    to the larger side."""
     check_dense_pairs(dom.n_cells, dom.n_cells, "the adjoint suite's random pair field")
     h2n = dom.h ** (2 * dom.dim)
     hn = dom.h**dom.dim
-    worst = 0.0
+    eps = float(np.finfo(float).eps)
+    weight = _pair_weight(dom, params, "the adjoint suite's pair weight")
+    worst, worst_ratio = 0.0, 0.0
     for _ in range(100):
         u = _random_u(dom, rng)
         phi = PairFunction(rng.standard_normal((dom.n_cells, dom.n_cells)), dom)
@@ -107,9 +113,18 @@ def _suite_adjoint(dom, params, cfg, rng):
         lhs = float(np.sum(u.values * div)) * hn
         grad = nonlocal_gradient(u, params)
         rhs = float(np.sum(phi.values * grad.values)) * h2n
-        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, gap)
-    return [CheckResult("adjoint", worst <= 1e-12, float(worst), "100 random (u, phi) pairs")]
+        # the absolute terms of both sides: sum |u_i| (|phi_ij| + |phi_ji|) w_ij
+        # (w is symmetric) and sum |phi_ij g_ij|, each times h^(2N) below
+        abs_phi = np.abs(phi.values)
+        abs_sums = np.vdot(abs_phi, np.abs(grad.values))
+        abs_phi *= weight
+        abs_u = np.abs(u.values)
+        abs_sums = float(abs_sums + np.sum(abs_u @ abs_phi) + np.sum(abs_phi @ abs_u))
+        # gap and bound share the denominator max(|lhs|, |rhs|)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        worst_ratio = max(worst_ratio, abs(lhs - rhs) / (eps * abs_sums * h2n))
+    detail = f"100 random (u, phi) pairs, worst gap/bound {worst_ratio:.3g}"
+    return [CheckResult("adjoint", worst_ratio <= 1.0, float(worst), detail)]
 
 
 def _suite_monotone(dom, params, cfg, rng):

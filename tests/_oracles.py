@@ -252,3 +252,33 @@ def psmall_gap_loops(u_values, v_values, omega_mask, p):
             worst = max(worst, (p - 1.0) * (a - b) ** 2 - rhs)
             scale = max(scale, rhs)
     return worst, scale
+
+
+def lattice_symmetry_orbits(coords, omega_mask):
+    """(maps, orbit, reps, mult, order) by mapping every cell's coordinates.
+
+    maps lists the (A, c) of the maps x -> A x + c, A a signed axis
+    permutation and c the shift that takes the coordinate box of the cells
+    onto itself, that send each cell to a cell with the same Omega flag.
+    Each Omega cell's orbit is named by the least Omega position among its
+    images; orbit, reps and mult number those names in ascending order.
+    """
+    dim = coords.shape[1]
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    cell_at = {tuple(x): k for k, x in enumerate(coords.tolist())}
+    omega = [k for k, flag in enumerate(omega_mask) if flag]
+    position = {k: pos for pos, k in enumerate(omega)}
+    maps, images = [], []
+    for perm in itertools.permutations(range(dim)):
+        for signs in itertools.product((1, -1), repeat=dim):
+            a = np.eye(dim, dtype=np.int64)[list(perm)] * np.array(signs)[:, None]
+            c = lo - np.minimum(a @ lo, a @ hi)
+            image = [cell_at.get(tuple(x), -1) for x in (coords @ a.T + c).tolist()]
+            if all(k >= 0 and omega_mask[k] == omega_mask[i] for i, k in enumerate(image)):
+                maps.append((a, c))
+                images.append([position[image[k]] for k in omega])
+    least = [min(column) for column in zip(*images)]
+    reps = sorted(set(least))
+    name = {pos: a for a, pos in enumerate(reps)}
+    orbit = np.array([name[pos] for pos in least])
+    return maps, orbit, np.array(reps), np.bincount(orbit).astype(float), len(maps)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraceig import FracParams, build_domain, p2_oracle, poincare_constant
+from fraceig import FracParams, build_domain, first_eigenpair, p2_oracle, poincare_constant
 from fraceig.cli import _parse_s_values, main
 from fraceig.serialize import load_domain_spec, save_domain_spec
 
@@ -34,6 +34,18 @@ class TestEig:
         assert printed == pytest.approx(oracle.lam, rel=1e-6)
         data = json.loads(out.read_text())
         assert data["lambda"] == printed
+
+    def test_json_holds_the_solved_pair_bit_for_bit(self, domain_file, tmp_path):
+        out = tmp_path / "pair.json"
+        assert run(["eig", "--domain", domain_file, "--s", 0.5, "--p", 1.5, "--out", out]) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1  # one line
+        data = json.loads(text)
+        dom = build_domain(load_domain_spec(domain_file), t=4.0)
+        pair = first_eigenpair(dom, FracParams(s=0.5, p=1.5))
+        assert len(data["u"]) == dom.n_cells
+        assert np.float64(data["lambda"]).tobytes() == np.float64(pair.lam).tobytes()
+        assert np.array(data["u"]).tobytes() == pair.eigenfunction.values.tobytes()
 
     def test_box96_solves_on_orbits(self, tmp_path):
         # 9,216 free cells: the unfolded 9,216 x 9,216 table is over the dense
@@ -431,6 +443,20 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["all_passed"] is True
         assert report["checks"][0]["margin"] <= 1e-12
+
+    def test_adjoint_suite_fails_a_divergence_off_by_1e_13(self, domain_file, tmp_path, capsys, monkeypatch):
+        # each draw's roundoff bound is tighter than a fixed 1e-12: the worst
+        # gap stays under 1e-12, yet some draw's gap is far over its bound
+        import fraceig.verify as verify_mod
+
+        div = verify_mod.nonlocal_divergence
+        monkeypatch.setattr(verify_mod, "nonlocal_divergence", lambda phi, params: div(phi, params) * (1 + 1e-13))
+        out = tmp_path / "verify.json"
+        code = run(["verify", "--domain", domain_file, "--s", 0.5, "--p", 2,
+                    "--suite", "adjoint", "--out", out])
+        assert code == 4
+        assert "FAIL adjoint" in capsys.readouterr().out
+        assert json.loads(out.read_text())["checks"][0]["margin"] <= 1e-12
 
     def test_poincare_suite_passes(self, domain_file, tmp_path):
         out = tmp_path / "verify.json"

@@ -388,7 +388,6 @@ class TestPairPowerSums:
         # 4,096 rows x 424 exterior runs: one unchunked temporary would take 13 MiB
         dom = build_domain(box_spec(1 / 64), t=4.0)
         rows, cols = dom.omega_indices, dom.other_indices
-        dom._offset_key  # cached with the grid
         tracemalloc.start()
         try:
             dom.pair_power_sums(rows, cols, -3.0)

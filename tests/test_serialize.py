@@ -45,8 +45,10 @@ def test_grid_function_json_roundtrip(tmp_path, interval16):
     u = random_function(interval16, rng)
     path = tmp_path / "u.json"
     save_grid_function(u, path)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1  # one line
     back = load_grid_function(path, interval16)
-    np.testing.assert_array_equal(back.values, u.values)
+    assert back.values.tobytes() == u.values.tobytes()
 
 
 def test_grid_function_binary_roundtrip(tmp_path, interval16):
@@ -129,6 +131,36 @@ def test_grid_function_missing_field_named(tmp_path, interval16, field):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"missing required field '{field}'"):
         load_grid_function(path, interval16)
+
+
+def test_one_line_header_without_values_refused(tmp_path, interval16):
+    # a one-line JSON object without values and nothing after it is a JSON
+    # text that lacks its values, not the header of empty binary values
+    path = tmp_path / "u.json"
+    save_grid_function(GridFunction.indicator(interval16), path)
+    data = json.loads(path.read_text())
+    del data["values"]
+    path.write_text(json.dumps(data) + "\n")
+    with pytest.raises(ValueError, match="missing required field 'values'"):
+        load_grid_function(path, interval16)
+
+
+def test_one_line_json_with_data_after_it_refused(tmp_path, interval16):
+    path = tmp_path / "u.json"
+    save_grid_function(GridFunction.indicator(interval16), path)
+    path.write_text(path.read_text() + "[1.0]\n")
+    with pytest.raises(ValueError, match="data after its JSON object"):
+        load_grid_function(path, interval16)
+
+
+def test_multiline_json_still_loads(tmp_path, interval16):
+    # files written before JSON went to one line spread one value per line
+    u = random_function(interval16, np.random.default_rng(62))
+    path = tmp_path / "u.json"
+    save_grid_function(u, path)
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+    back = load_grid_function(path, interval16)
+    assert back.values.tobytes() == u.values.tobytes()
 
 
 def test_eigenpair_and_trace(tmp_path, interval16):

@@ -1,5 +1,7 @@
 """The grid's lattice symmetry group and the kernel folded over its orbits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,7 @@ from fraceig import (
 )
 from fraceig.core import EnergyKernel, energy_kernel
 
-from _oracles import energy_double_sum, hessian_loops, operator_double_sum
+from _oracles import energy_double_sum, hessian_loops, lattice_symmetry_orbits, operator_double_sum
 from conftest import box_spec, mask_spec
 
 
@@ -42,6 +44,17 @@ def test_group_order(name, order, orbits, request):
     assert sym.order == order == len(dom.lattice_symmetries())
     assert len(sym.reps) == orbits
     assert sym.mult.sum() == dom.n_omega
+    assert_matches_coordinate_oracle(dom)
+
+
+def assert_matches_coordinate_oracle(dom):
+    """The maps and orbits equal those of mapping every cell's coordinates."""
+    maps, *sym = lattice_symmetry_orbits(dom.coords, dom.omega_mask)
+    for got, want in zip(dom.symmetry, sym):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert [(a.tolist(), c.tolist()) for a, c in dom.lattice_symmetries()] == [
+        (a.tolist(), c.tolist()) for a, c in maps
+    ]
 
 
 @pytest.mark.parametrize("name", ["box8", "interval16", "union16", "holed6"])
@@ -99,6 +112,43 @@ def test_dense_guard_applies_to_the_representative_rows(box8, monkeypatch):
     monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 10 * 10 - 1)
     with pytest.raises(ValueError, match="dense 10 x 10 pair array"):
         EnergyKernel(box8, params, fold=True)
+
+
+def test_folded_build_tables_cover_only_the_offsets_read(monkeypatch):
+    # box24 (counts 138 x 138): the representative rows and the Omega columns
+    # span at most the offsets -23..23 (47 x 47); the exterior sums read the
+    # dx >= 0 half of the lattice's offsets (275 x 138), and not its whole
+    # 275 x 275 table
+    dom = build_domain(box_spec(1 / 24), t=4.0)
+    assert dom.counts == (138, 138)
+    sizes = []
+    build = domain_mod.GridDomain._offset_table
+
+    def recording(self, a, lo, hi):
+        table = build(self, a, lo, hi)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(domain_mod.GridDomain, "_offset_table", recording)
+    EnergyKernel(dom, FracParams(s=0.5, p=1.5), fold=True)
+    assert len(sizes) == 2
+    assert sizes[0] <= 47 * 47 and sizes[1] <= 275 * 138
+
+
+def test_folded_build_holds_no_m_by_n_array():
+    # box96: m = 1,176 orbits of n = 9,216 free cells, so an m x n float64
+    # array would take 83 MiB; the m x m table takes 11 MiB, and the
+    # streamed chunks hold a few arrays of _CHUNK_ENTRIES values each
+    dom = build_domain(box_spec(1 / 96), t=4.0)
+    m, n = len(dom.symmetry.reps), dom.n_omega
+    dom.coords  # cached with the grid
+    tracemalloc.start()
+    try:
+        EnergyKernel(dom, FracParams(s=0.5, p=1.5), fold=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * n
 
 
 def test_public_energies_of_eigenfunctions_need_no_plain_table(monkeypatch):
@@ -179,6 +229,7 @@ def test_detected_symmetries_hold(cells, seed):
         assert set(np.flatnonzero(orbit == orbit[k])) == members
         assert reps[orbit[k]] == min(members)
     assert np.array_equal(np.bincount(orbit), mult)
+    assert_matches_coordinate_oracle(dom)
 
     # an orbit-constant function has the same energy and L^p norm either way
     a = np.random.default_rng(seed).standard_normal(len(reps))
