@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from ._reduce import map_blocks, parallel_map
+from ._reduce import parallel_map
 from .core import GridFunction, energy_kernel, gagliardo_energy
-from .domain import GridDomain, _lattice_axes, _lattice_points, dilate, unit_ball_volume
+from .domain import GridDomain, dilate, unit_ball_volume
 from .eigen import Eigenpair, first_eigenpair, seminorm_distance
 from .errors import ConvergenceError
 from .params import FracParams, SolverConfig
@@ -239,11 +239,11 @@ def equivalence_check(
     comes from the radial shell estimates specific to the 4R/1.5R split.
     The far-field quadrature reaches quad_radius_factor * R, at least the
     truncation radius t R / 2, before the analytic radial tail takes over.
-    Its per-cell kernel sums do not depend on u: they are built once per
-    (grid, s, p, radius) and cached on the grid (GridDomain.memo), where
-    that radius dominates the cost on 2D grids and threads parallelize it
-    over fixed blocks without changing the result.  Each call then pairs
-    them with |u|^p.
+    Its per-cell kernel sums do not depend on u: they are lattice run sums
+    (GridDomain.pair_power_sums over the annulus cells, shell_power_sums over
+    the shell points), built once per (grid, s, p, radius) and cached on
+    the grid (GridDomain.memo).  Each call then pairs them with |u|^p.
+    threads has no effect; the parameter stays for existing callers.
     """
     dom = u.host
     if dom.t != 4.0:
@@ -262,30 +262,13 @@ def equivalence_check(
     def far_field() -> tuple[NDArray, NDArray]:
         """Per-Omega-cell sums of |x_i - y|^(-(N+sp)) over the ball cells y
         beyond the inner ball of diameter 1.5 R (annulus), and over the
-        extended-lattice points y between the truncation sphere and r_quad
-        (shell), accumulated over fixed blocks of shell points in order."""
+        lattice points y between the truncation sphere and r_quad (shell)."""
         d_center = np.linalg.norm(dom.cells - dom.center, axis=1)
         far = d_center > 0.75 * R * (1.0 + 1e-12)
         if np.any(far & dom.omega_mask):
             raise ValueError("Omega leaks outside the inner ball; h is too coarse")
         annulus = dom.pair_power_sums(dom.omega_indices, np.flatnonzero(far), -kern.exponent)
-
-        lo = np.floor((dom.center - r_quad - dom.origin) / h).astype(np.int64) - 1
-        hi = np.ceil((dom.center + r_quad - dom.origin) / h).astype(np.int64) + 1
-        pts = _lattice_points(_lattice_axes(dom.origin, h, lo, hi))
-        dc = np.linalg.norm(pts - dom.center, axis=1)
-        half = 0.5 * dom.t * R
-        shell_pts = pts[(dc > half * (1.0 + 1e-12)) & (dc <= r_quad * (1.0 + 1e-12))]
-        om_cells = dom.omega_cells
-
-        def shell_block(lo: int, hi: int) -> NDArray:
-            d2 = np.sum((om_cells[:, None, :] - shell_pts[None, lo:hi, :]) ** 2, axis=-1)
-            return np.sum(d2 ** (-0.5 * kern.exponent), axis=1)
-
-        shell = np.zeros(len(om_cells))
-        for part in map_blocks(shell_block, len(shell_pts), threads):
-            shell += part
-        return annulus, shell
+        return annulus, dom.shell_power_sums(0.5 * dom.t * R, r_quad, -kern.exponent)
 
     key = ("equivalence far field", params.s, params.p, quad_radius_factor)
     annulus, shell = dom.memo(key, far_field)
@@ -357,8 +340,11 @@ def translation_quotient_check(
     if not shifts:
         raise ValueError("empty shift list")
     dom = u.host
-    if any(k.shape != (dom.dim,) for k in shifts):
-        raise ValueError("each shift must have one integer step per dimension")
+    for k in shifts:
+        if k.shape != (dom.dim,):
+            raise ValueError("each shift must have one integer step per dimension")
+        if not k.any():
+            raise ValueError(f"shift {k.tolist()} is zero and has no difference quotient")
     sp = params.s * params.p
     hn = dom.h**dom.dim
     lattice = dom.embed_lattice(u.values)

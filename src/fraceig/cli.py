@@ -63,13 +63,6 @@ def _add_common(
         sub.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS)
 
 
-def _add_threads(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for coarse independent tasks; never changes a result",
-    )
-
-
 def _config(args, threads: int = 1) -> SolverConfig:
     fields = {dest for dest, _ in _SOLVER_FLAGS.values()}
     return SolverConfig(threads=threads, **{k: v for k, v in vars(args).items() if k in fields})
@@ -169,7 +162,7 @@ def cmd_poincare(args) -> int:
 def cmd_verify(args) -> int:
     dom = _domain(args)
     params = FracParams(s=args.s, p=args.p)
-    cfg = _config(args, args.threads)
+    cfg = _config(args)
     results = run_suite(args.suite, dom, params, cfg)
     report = {**report_dict(args.suite, results, params, cfg), "t": dom.t}
     save_json(report, args.out)
@@ -214,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = command("sweep", "eigenvalue sweep across s")
     _add_common(p_sweep, with_params=False, solver=_EIGEN_FLAGS)
-    _add_threads(p_sweep)
+    p_sweep.add_argument(
+        "--threads", type=int, default=1, help="worker threads, one eigen solve each; never changes a result"
+    )
     p_sweep.add_argument("--p", type=float, required=True, help="exponent p > 1")
     p_sweep.add_argument("--s-list", default=None, help="comma-separated s values")
     p_sweep.add_argument("--s-range", default=None, help="start:stop:step")
@@ -229,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", "randomized property suites")
     _add_common(p_verify, solver=tuple(_SOLVER_FLAGS))
-    _add_threads(p_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITES + ("all",))
     p_verify.add_argument("--out", default="verify.json")
     p_verify.set_defaults(func=cmd_verify)

@@ -524,6 +524,9 @@ class GridDomain:
         about _CHUNK_ENTRIES values, so Omega-by-ball tables stream through
         bounded memory on the largest grids.
         """
+        if len(rows) == 0 or len(cols) == 0:  # no offsets to span
+            yield slice(0, len(cols)), np.empty((len(rows), len(cols)))
+            return
         row_at, col_at = self.coords[rows], self.coords[cols]
         lo = row_at.min(axis=0) - col_at.max(axis=0)
         hi = row_at.max(axis=0) - col_at.min(axis=0)
@@ -538,10 +541,17 @@ class GridDomain:
             yield sl, table[row_key[:, None] - col_key[sl]]
 
     def pair_power_sums(self, rows: NDArray, cols: NDArray, a: float) -> NDArray:
-        """Row sums of pair_powers: sum over j in cols of |x_i - x_j|^a, for i in rows.
+        """Row sums of pair_powers: sum over j in cols of |x_i - x_j|^a, for i in
+        rows, by lattice_power_sums on the bounding lattice."""
+        return self.lattice_power_sums(self.counts, self.lattice_index[rows], self.lattice_index[cols], a)
 
-        cols splits into runs of cells consecutive along the last lattice
-        axis (sorted cols give the longest runs).  Seen from row i, a run
+    def lattice_power_sums(self, counts: tuple, rows: NDArray, cols: NDArray, a: float) -> NDArray:
+        """Sum over j in cols of (h |k_i - k_j|)^a, for i in rows, where rows and
+        cols are row-major flat indices k of a lattice of spacing h and extent
+        counts (0 where k_i = k_j).
+
+        cols splits into runs of points consecutive along the last lattice
+        axis (ascending cols give the longest runs).  Seen from row i, a run
         is one contiguous range of offsets dx in one row of the offset
         table, and the table is even in dx, so each run costs two
         differences of the one-sided suffix sums U[m] = sum over d >= m of
@@ -551,21 +561,20 @@ class GridDomain:
         The work is O(rows x runs + table size), in row chunks of about
         _CHUNK_ENTRIES (row, run) pairs.
         """
-        n = self.counts[-1]
-        lo = np.array([1 - c for c in self.counts[:-1]] + [0])
-        half = self._offset_table(a, lo, np.array(self.counts) - 1).reshape(-1, n)  # dx = 0, ..., n - 1
+        n = counts[-1]
+        lo = np.array([1 - c for c in counts[:-1]] + [0])
+        half = self._offset_table(a, lo, np.array(counts) - 1).reshape(-1, n)  # dx = 0, ..., n - 1
         suffix = np.zeros((len(half), n + 1))  # U[r, m], with U[r, n] = 0
         np.cumsum(half[:, ::-1], axis=1, out=suffix[:, n - 1 :: -1])
         del half  # frees the table before the row chunks
 
-        # (lattice row) * (n + 1) + (last coordinate): cells consecutive
-        # along the last axis differ by 1, cells of two lattice rows by more
-        key = self.lattice_index[cols]
-        key += key // n
+        # (lattice row) * (n + 1) + (last coordinate): points consecutive
+        # along the last axis differ by 1, points of two lattice rows by more
+        key = cols + cols // n
         first = key[np.diff(key, prepend=key[:1] - 2) != 1]
         span = key[np.diff(key, append=key[-1:] + 2) != 1] - first
         run_row, run_x = np.divmod(first, n + 1)
-        row_row, row_x = np.divmod(self.lattice_index[rows], n)
+        row_row, row_x = np.divmod(rows, n)
         row_row += len(suffix) // 2  # the zero offset sits in the middle table row
         suffix = suffix.ravel()
 
@@ -575,7 +584,7 @@ class GridDomain:
             sl = slice(start, start + step)
             base = row_row[sl, None] - run_row
             base *= n + 1
-            dx = row_x[sl, None] - run_x  # the offset to the run's first cell, its largest
+            dx = row_x[sl, None] - run_x  # the offset to the run's first point, its largest
             # the part of [dx - span, dx] at dx >= 0, then the mirror of its part at dx < 0
             near = np.maximum(dx - span, 0)
             far = np.maximum(dx + 1, near)
@@ -585,6 +594,18 @@ class GridDomain:
             sums += suffix[base + near] - suffix[base + far]
             out[sl] = sums.sum(axis=1)
         return out
+
+    def shell_power_sums(self, r_in: float, r_out: float, a: float) -> NDArray:
+        """Sum over the lattice points y = origin + h k (k any integer vector)
+        with r_in < |y - center| <= r_out of |x_i - y|^a, for each Omega cell
+        x_i, by lattice_power_sums on the lattice box around that shell."""
+        lo = np.floor((self.center - r_out - self.origin) / self.h).astype(np.int64) - 1
+        hi = np.ceil((self.center + r_out - self.origin) / self.h).astype(np.int64) + 1
+        dc = np.linalg.norm(_lattice_points(_lattice_axes(self.origin, self.h, lo, hi)) - self.center, axis=1)
+        shell = (dc > r_in * (1.0 + _GEOM_RTOL)) & (dc <= r_out * (1.0 + _GEOM_RTOL))
+        counts = tuple((hi - lo + 1).tolist())
+        rows = np.ravel_multi_index(tuple((self.coords[self.omega_mask] - lo).T), counts)
+        return self.lattice_power_sums(counts, rows, np.flatnonzero(shell), a)
 
     def orbit_power_sums(self, rows: NDArray, a: float) -> NDArray:
         """S[r, b] = sum over the Omega cells j of orbit b of |x_i - x_j|^a, i = rows[r].

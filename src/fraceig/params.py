@@ -47,8 +47,8 @@ class SolverConfig:
     from its outer residual).  A solve is converged only below tol or at
     the computed float floor (EnergyKernel.gradient_floor).
     seed feeds every randomized property check; threads sets the worker
-    count of s_sweep (one eigensolve per s) and of the far-field quadrature
-    of the equivalence suite, at most one per CPU, and never changes a result.
+    count of s_sweep (one eigensolve per s), at most one per CPU, and never
+    changes a result.
     """
 
     tol: float = 1e-8

@@ -193,7 +193,7 @@ def _suite_equivalence(dom, params, cfg, rng):
     worst = np.inf
     for _ in range(20):
         u = _random_u(dom, rng)
-        rep = equivalence_check(u, params, threads=cfg.threads)
+        rep = equivalence_check(u, params)
         worst = min(worst, (rep.bound * rep.Y - rep.W) / max(rep.bound * rep.Y, 1e-300))
     return [
         CheckResult("equivalence", worst >= 0.0, float(worst), "far-field part within the shell bound")

@@ -227,6 +227,24 @@ def far_field_loops(cells, values, omega_mask, center, origin, h, dim, diameter,
     return quad + 2.0 * (dim * vol / sp) * r_quad ** (-sp) * lp
 
 
+def shell_sums_vectorized(omega_cells, center, origin, h, r_in, r_out, expo):
+    """Per-Omega-cell sums of |x_i - y|^-expo over the lattice points
+    y = origin + h k with r_in < |y - center| <= r_out, by brute force over
+    blocks of points, from the float coordinates of both ends."""
+    lo = np.floor((center - r_out - origin) / h).astype(np.int64) - 1
+    hi = np.ceil((center + r_out - origin) / h).astype(np.int64) + 1
+    axes = [origin[d] + h * np.arange(lo[d], hi[d] + 1) for d in range(len(origin))]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    dc = np.linalg.norm(pts - center, axis=1)
+    pts = pts[(dc > r_in * (1.0 + 1e-12)) & (dc <= r_out * (1.0 + 1e-12))]
+    out = np.zeros(len(omega_cells))
+    for start in range(0, len(pts), 4096):
+        block = pts[start : start + 4096]
+        d2 = sum((omega_cells[:, d, None] - block[None, :, d]) ** 2 for d in range(len(origin)))
+        out += np.sum(d2 ** (-0.5 * expo), axis=1)
+    return out
+
+
 def psmall_gap_loops(u_values, v_values, omega_mask, p):
     """(worst lhs - rhs, largest rhs) of the 1<p<2 pairwise inequality
     (p-1)|U-V|^2 <= (phi(U)-phi(V))(U-V)(|U|^p+|V|^p)^((2-p)/p) over the

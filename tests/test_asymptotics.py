@@ -20,8 +20,8 @@ from fraceig import (
     translation_quotient_check,
 )
 
-from _oracles import far_field_loops
-from conftest import interval_spec, random_function
+from _oracles import far_field_loops, shell_sums_vectorized
+from conftest import interval_spec, mask_spec, random_function
 
 P2 = FracParams(s=0.5, p=2.0)
 
@@ -167,7 +167,7 @@ class TestEquivalenceCheck:
 
     def test_reports_do_not_depend_on_threads(self):
         # threads 1 then 2, and 2 then 1, each on a fresh grid: the first
-        # call builds the far-field sums over five blocks of shell points
+        # call builds the far-field sums, the second reads them back
         reports = []
         for order in ((1, 2), (2, 1)):
             dom = build_domain(interval_spec(1 / 16), t=4.0)
@@ -197,12 +197,10 @@ class TestEquivalenceCheck:
 
         monkeypatch.setattr(reduce_mod, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(reduce_mod.os, "cpu_count", lambda: 3)
-        rows = reduce_mod.BLOCK_ROWS
-        assert reduce_mod.map_blocks(lambda lo, hi: hi - lo, 5 * rows, threads=5000) == [rows] * 5
-        assert reduce_mod.map_blocks(lambda lo, hi: hi - lo, rows + 1, threads=5000) == [rows, 1]
-        assert reduce_mod.map_blocks(lambda lo, hi: hi - lo, 5 * rows, threads=1) == [rows] * 5
         s_sweep(interval16, 2.0, [0.3, 0.4, 0.5, 0.6], 0.3, SolverConfig(threads=5000))
-        assert workers == [3, 2, 3]
+        s_sweep(interval16, 2.0, [0.3, 0.4], 0.3, SolverConfig(threads=5000))
+        s_sweep(interval16, 2.0, [0.3, 0.4, 0.5, 0.6], 0.3, SolverConfig(threads=1))
+        assert workers == [3, 2]
 
     @pytest.mark.parametrize("name, factor", [("interval16", 20.0), ("box8", 3.0)])
     def test_far_field_matches_loop_oracle(self, name, factor, request):
@@ -215,6 +213,27 @@ class TestEquivalenceCheck:
             dom.diameter_R, dom.t, params.s, params.p, factor,
         )
         assert rep.W == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "name, factor", [("box8", 20.0), ("L16", 20.0), ("interval256", 20.0), ("box8", 3.0)]
+    )
+    def test_shell_sums_match_the_brute_force(self, name, factor, request):
+        if name == "L16":
+            rows = np.ones((16, 16), dtype=int)
+            rows[8:, 8:] = 0
+            dom = build_domain(mask_spec(rows), t=4.0)
+        else:
+            dom = request.getfixturevalue(name)
+        params = FracParams(s=0.75, p=1.5)
+        expo = dom.dim + params.s * params.p
+        r_in, r_out = 0.5 * dom.t * dom.diameter_R, factor * dom.diameter_R
+        want = shell_sums_vectorized(dom.omega_cells, dom.center, dom.origin, dom.h, r_in, r_out, expo)
+        np.testing.assert_allclose(dom.shell_power_sums(r_in, r_out, -expo), want, rtol=1e-13, atol=0)
+        # and the quadrature part of W pairs exactly these sums with |u|^p
+        u = random_function(dom, np.random.default_rng(55))
+        rep = equivalence_check(u, params, quad_radius_factor=factor)
+        up = np.abs(u.omega_values) ** params.p
+        assert rep.W - rep.tail == pytest.approx(2.0 * dom.h ** (2 * dom.dim) * float(up @ want), rel=1e-13)
 
 
 class TestTranslationQuotient:
@@ -243,6 +262,11 @@ class TestTranslationQuotient:
     def test_empty_shifts(self, interval16):
         with pytest.raises(ValueError, match="empty"):
             translation_quotient_check(GridFunction.indicator(interval16), P2, [])
+
+    def test_zero_shift_refused(self, interval16):
+        # a zero shift once divided by |k h|^(sp) = 0 (ZeroDivisionError)
+        with pytest.raises(ValueError, match=r"shift \[0\] is zero"):
+            translation_quotient_check(GridFunction.indicator(interval16), P2, [[1], [0]])
 
     def test_2d_shift(self, box8):
         rng = np.random.default_rng(53)

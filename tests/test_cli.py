@@ -378,6 +378,7 @@ class TestSolverFlags:
             (["solve", "--problem", "problem.json"], "--max-iter"),
             (["eig", "--s", 0.5, "--p", 2], "--inner-tol"),
             (["sweep", "--p", 2, "--s-list", 0.5, "--s-base", 0.5], "--max-iter-inner"),
+            (["verify", "--s", 0.5, "--p", 2, "--suite", "equivalence"], "--threads"),
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, domain_file, capsys, args, flag):

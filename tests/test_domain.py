@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraceig
@@ -357,6 +357,7 @@ def holed_masks(draw):
 class TestPairPowerSums:
     @settings(max_examples=40, deadline=None)
     @given(mask=holed_masks(), s=st.floats(0.01, 0.99), p=st.floats(1.01, 5.0), seed=st.integers(0, 2**32 - 1))
+    @example(mask=[1], s=0.5, p=2.0, seed=49)  # draws no cols
     def test_run_sums_match_the_gather(self, mask, s, p, seed):
         try:
             dom = build_domain(mask_spec(mask), t=4.0)
@@ -383,6 +384,13 @@ class TestPairPowerSums:
             a = -(dom.dim + s * p)
             exact = [math.fsum(d**a) for d in dist]
             np.testing.assert_allclose(dom.pair_power_sums(rows, cols, a), exact, rtol=1e-14, atol=0)
+
+    def test_an_empty_side_gives_an_empty_table(self, box8):
+        rows, none = box8.omega_indices, np.array([], dtype=np.int64)
+        assert box8.pair_power(rows, none, -3.0, "t").shape == (len(rows), 0)
+        assert box8.pair_power(none, rows, -3.0, "t").shape == (0, len(rows))
+        assert box8.pair_power_sums(rows, none, -3.0).tolist() == [0.0] * len(rows)
+        assert box8.pair_power_sums(none, rows, -3.0).shape == (0,)
 
     def test_row_chunks_bound_the_memory(self):
         # 4,096 rows x 424 exterior runs: one unchunked temporary would take 13 MiB
