@@ -1,10 +1,11 @@
 """Deterministic blocked reductions and the one worker pool.
 
 Row ranges are fixed by a constant block size, each block reduces in its
-own index order, and block results combine in block order, so results do
-not depend on how a caller schedules its work.  The blocked reductions run
-serially; parallel_map, which s_sweep uses for one eigensolve per s,
-starts every worker pool in fraceig, with at most one thread per CPU.
+own index order, and block results combine in a fixed tree (in block
+order, or pairwise in column_sums), so results do not depend on how a
+caller schedules its work.  The blocked reductions run serially;
+parallel_map, which s_sweep uses for one eigensolve per s, starts every
+worker pool in fraceig, with at most one thread per CPU.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
+from numpy.typing import NDArray
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -40,3 +44,18 @@ def ordered_sum(parts) -> float:
     for v in parts:
         acc += v
     return acc
+
+
+def column_sums(t: NDArray) -> NDArray:
+    """Column sums of a 2D array with at least one row: the sums of its fixed
+    row blocks, added pairwise.
+
+    numpy sums axis 0 one row after another, so roundoff would grow with
+    the row count; here it grows with BLOCK_ROWS plus log2 of the block
+    count, as in the pairwise row sums of np.sum(t, axis=1).
+    """
+    parts = map_blocks(lambda lo, hi: np.sum(t[lo:hi], axis=0), len(t))
+    while len(parts) > 1:
+        pairs = [a + b for a, b in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[len(pairs) * 2 :]
+    return parts[0]

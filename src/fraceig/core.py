@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._reduce import map_blocks, ordered_sum
+from ._reduce import column_sums, map_blocks, ordered_sum
 from .domain import GridDomain, Symmetry, check_dense_pairs
 from .params import FracParams
 
@@ -338,17 +338,31 @@ class EnergyKernel:
         eps = np.finfo(float).eps
 
         def gap(U: NDArray, V: NDArray):
-            lhs = (p - 1.0) * (U - V) ** 2
-            rhs = (phi_p(U, p) - phi_p(V, p)) * (U - V) * (np.abs(U) ** p + np.abs(V) ** p) ** w_exp
-            # pairs with both differences zero fall under the inequality's
-            # stated restriction; pairs separated by less than the float
-            # quantization of the odd power cannot be tested meaningfully
-            live = ~((U == 0.0) & (V == 0.0))
-            live &= np.abs(U - V) > 4.0 * eps * (np.abs(U) + np.abs(V))
-            if not np.any(live):
-                return -np.inf, 0.0
-            d = lhs - rhs
-            return float(d[live].max()), float(rhs[live].max())
+            d = U - V
+            abs_u, abs_v = np.abs(U), np.abs(V)
+            # one power per difference: |U|^(p-1) gives phi_p(U) and |U|^p
+            pow_u, pow_v = abs_u ** (p - 1.0), abs_v ** (p - 1.0)
+            rhs = np.copysign(pow_u, U)
+            rhs -= np.copysign(pow_v, V)
+            rhs *= d
+            pow_u *= abs_u
+            pow_v *= abs_v
+            pow_u += pow_v
+            pow_u **= w_exp
+            rhs *= pow_u
+            # pairs separated by less than the float quantization of the odd
+            # power cannot be tested meaningfully; this also leaves out the
+            # pairs with both differences zero, which the inequality excludes
+            abs_u += abs_v
+            abs_u *= 4.0 * eps
+            live = np.abs(d) > abs_u
+            d *= d
+            d *= p - 1.0  # the lhs
+            d -= rhs
+            # no live pair gives (-inf, 0.0); rhs >= 0 on live pairs (phi_p
+            # increases), so the initial 0 moves no other maximum
+            worst = np.max(d, where=live, initial=-np.inf)
+            return float(worst), float(np.max(rhs, where=live, initial=0.0))
 
         def block(lo: int, hi: int):
             # the diagonal pairs (i, i) have U = V = 0 and are not live
@@ -439,9 +453,16 @@ def nonlocal_gradient(u: GridFunction, params: FracParams) -> PairFunction:
 def nonlocal_divergence(phi: PairFunction, params: FracParams) -> NDArray:
     """Adjoint field d_i = sum_j (phi(i,j) - phi(j,i)) |x_i-x_j|^(-(N/p+s)) h^N.
 
-    Defined on every ball cell (not only Omega); symmetric pair data cancels.
+    Defined on every ball cell (not only Omega).  The weight w is exactly
+    symmetric, so d_i = h^N (sum_j t_ij - sum_j t_ji) with t = phi w: one
+    pass over the pairs, no transpose.  Both sums are pairwise (the column
+    sums by _reduce.column_sums), so symmetric pair data cancels to
+    roundoff, not to an exact 0.
     """
     dom = phi.host
     w = _pair_weight(dom, params, "the nonlocal divergence")
-    hn = dom.h**dom.dim
-    return np.sum((phi.values - phi.values.T) * w, axis=1) * hn
+    t = phi.values * w
+    d = np.sum(t, axis=1)
+    d -= column_sums(t)
+    d *= dom.h**dom.dim
+    return d

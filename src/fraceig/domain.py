@@ -509,10 +509,13 @@ class GridDomain:
         """T[k] = (h |k|)^a over the integer offsets lo <= k <= hi, flattened
         row-major, with T = 0 at the zero offset."""
         r2 = functools.reduce(np.add.outer, [np.arange(l, u + 1, dtype=float) ** 2 for l, u in zip(lo, hi)])
-        r2 = r2.ravel()
-        with np.errstate(divide="ignore"):
-            table = (self.h * np.sqrt(r2)) ** a
-        table[r2 == 0.0] = 0.0
+        table = r2.ravel()  # one table-sized array, worked on in place
+        zero = table == 0.0
+        table[zero] = 1.0
+        np.sqrt(table, out=table)
+        table *= self.h
+        table **= a
+        table[zero] = 0.0
         return table
 
     def pair_powers(self, rows: NDArray, cols: NDArray, a: float) -> Iterator[tuple[slice, NDArray]]:

@@ -293,7 +293,11 @@ def p2_oracle(dom: GridDomain, params: FracParams) -> Eigenpair:
             f"{n_free} free cells exceed the dense-oracle limit {_ORACLE_MAX_FREE}"
         )
     kern = energy_kernel(dom, params)
-    vals, vecs = scipy.linalg.eigh(kern.quad_matrix / kern.hn, subset_by_index=[0, 0])
+    q = kern.quad_matrix
+    q /= kern.hn
+    # q is symmetric: its transpose is the Fortran-order array LAPACK
+    # overwrites, with no copy
+    vals, vecs = scipy.linalg.eigh(q.T, overwrite_a=True, subset_by_index=[0, 0])
     v = vecs[:, 0]
     if v.mean() < 0:
         v = -v

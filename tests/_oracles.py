@@ -112,6 +112,31 @@ def pair_divergence(cells, phi, h, dim, s, p, rows=None):
     return out
 
 
+def pair_divergence_fsum(coords, phi, h, dim, s, p):
+    """(d, mag) over every cell: the adjoint field d_i with each row summed
+    by math.fsum (correctly rounded), and mag_i the sum of the absolute
+    terms |phi_ij - phi_ji| |x_i - x_j|^-(N/p+s), both times h^N.
+
+    Distances are h |k_i - k_j| over the integer lattice coordinates k, so
+    they carry one rounding on any h, where differences of rounded cell
+    centers lose digits on a non-dyadic h.
+    """
+    expo = dim / p + s
+    m = len(coords)
+    k = coords.tolist()
+    rows = phi.tolist()
+    d, mag = np.zeros(m), np.zeros(m)
+    for i in range(m):
+        terms = [
+            (rows[i][j] - rows[j][i]) / (h * math.dist(k[i], k[j])) ** expo
+            for j in range(m)
+            if j != i
+        ]
+        d[i] = math.fsum(terms) * h**dim
+        mag[i] = math.fsum(abs(x) for x in terms) * h**dim
+    return d, mag
+
+
 def kernel_tables(cells, omega_mask, dim, s, p):
     """(K_oo, k_out): Omega-Omega weights |x_i - x_j|^-(N+sp), zero diagonal,
     and each Omega cell's weight sum toward the exterior cells."""

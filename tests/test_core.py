@@ -28,6 +28,7 @@ from fraceig import (
     solve_dirichlet,
 )
 import fraceig.domain as domain_mod
+from fraceig._reduce import column_sums
 from fraceig.core import energy_kernel, phi_p
 
 from _oracles import (
@@ -38,9 +39,10 @@ from _oracles import (
     lp_sum,
     operator_double_sum,
     pair_divergence,
+    pair_divergence_fsum,
     pair_gradient,
 )
-from conftest import box_spec, interval_spec, random_function, union_spec
+from conftest import box_spec, interval_spec, mask_spec, random_function, union_spec
 
 PARAMS = FracParams(s=0.5, p=2.0)
 
@@ -418,6 +420,29 @@ class TestPairOperations:
             want = pair_divergence(dom.cells, phi.values, dom.h, dom.dim, 0.5, 2.0, rows)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "spec, t",
+        [
+            (interval_spec(1 / 63), 2.0),  # 127 ball cells: one row short of a block
+            (interval_spec(1 / 32), 4.0),  # 128: one full block
+            (interval_spec(1 / 43), 3.0),  # 129: a block and one row
+            (mask_spec(np.pad(np.zeros((2, 2), dtype=int), 3, constant_values=1)), 2.0),  # 376, holed
+        ],
+        ids=["M127", "M128", "M129", "holed8-M376"],
+    )
+    def test_divergence_within_roundoff_of_fsum(self, spec, t):
+        # per cell, within a few eps times the sum of the absolute terms
+        # (3.5 measured): the roundoff of both pairwise sums, not only of
+        # their difference
+        dom = build_domain(spec, t=t)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(23)
+        for s, p in ((0.5, 2.0), (0.75, 1.5)):
+            phi = PairFunction(rng.standard_normal((dom.n_cells,) * 2), dom)
+            got = nonlocal_divergence(phi, FracParams(s=s, p=p))
+            want, mag = pair_divergence_fsum(dom.coords, phi.values, dom.h, dom.dim, s, p)
+            assert np.all(np.abs(got - want) <= 8.0 * eps * mag)
+
     def test_adjoint_identity(self, interval8):
         rng = np.random.default_rng(20)
         hn = interval8.h
@@ -455,7 +480,8 @@ class TestPairFieldWeight:
             u = random_function(dom, rng)
             phi = PairFunction(rng.standard_normal((dom.n_cells,) * 2), dom)
             want_grad = (u.values[:, None] - u.values[None, :]) * w
-            want_div = np.sum((phi.values - phi.values.T) * w, axis=1) * dom.h**dom.dim
+            t = phi.values * w
+            want_div = (np.sum(t, axis=1) - column_sums(t)) * dom.h**dom.dim
             assert nonlocal_gradient(u, params).values.tobytes() == want_grad.tobytes()
             assert nonlocal_divergence(phi, params).tobytes() == want_div.tobytes()
 
