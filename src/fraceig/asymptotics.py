@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from ._reduce import parallel_map
 from .core import GridFunction, energy_kernel, gagliardo_energy
 from .domain import GridDomain, dilate, unit_ball_volume
 from .eigen import Eigenpair, first_eigenpair, seminorm_distance
@@ -110,7 +109,7 @@ def s_sweep(
 
     Eigenfunction distances to the base eigenfunction use the exponent
     min(s, s_base) so the seminorm stays finite on both arguments.  The
-    eigen solves run on up to cfg.threads worker threads.  Failed solves
+    eigen solves run one after another, in increasing s.  Failed solves
     are kept as rows flagged not converged.
     """
     s_values = sorted(float(s) for s in s_list)
@@ -129,8 +128,7 @@ def s_sweep(
                 raise
             return exc.partial
 
-    # one independent eigensolve per s: the coarse task that threads pay for
-    pairs = dict(zip(s_values, parallel_map(solve, s_values, cfg.threads)))
+    pairs = {s: solve(s) for s in s_values}
 
     base_pair = pairs[s_base]
     weight_base = 2.5 * dom.diameter_R

@@ -63,9 +63,9 @@ def _add_common(
         sub.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS)
 
 
-def _config(args, threads: int = 1) -> SolverConfig:
+def _config(args) -> SolverConfig:
     fields = {dest for dest, _ in _SOLVER_FLAGS.values()}
-    return SolverConfig(threads=threads, **{k: v for k, v in vars(args).items() if k in fields})
+    return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _domain(args):
@@ -130,7 +130,7 @@ def _parse_s_values(args) -> list[float]:
 
 def cmd_sweep(args) -> int:
     dom = _domain(args)
-    cfg = _config(args, args.threads)
+    cfg = _config(args)
     s_values = _parse_s_values(args)
     base = min(s_values, key=lambda s: abs(s - args.s_base))
     if not abs(base - args.s_base) <= 1e-9:  # also refuses a NaN --s-base
@@ -207,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = command("sweep", "eigenvalue sweep across s")
     _add_common(p_sweep, with_params=False, solver=_EIGEN_FLAGS)
-    p_sweep.add_argument(
-        "--threads", type=int, default=1, help="worker threads, one eigen solve each; never changes a result"
-    )
     p_sweep.add_argument("--p", type=float, required=True, help="exponent p > 1")
     p_sweep.add_argument("--s-list", default=None, help="comma-separated s values")
     p_sweep.add_argument("--s-range", default=None, help="start:stop:step")

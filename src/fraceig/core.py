@@ -323,57 +323,6 @@ class EnergyKernel:
         granularity = self.dual_norm(2.0 * self.h2n * jump)
         return 4.0 * max(granularity, eps * self.dual_norm(2.0 * self.h2n * env))
 
-    def psmall_pairwise_gap(self, u_om: NDArray, v_om: NDArray):
-        """Worst gap of the 1<p<2 pairwise monotonicity inequality.
-
-        For each active pair with differences U, V not both zero the
-        inequality (p-1)|U-V|^2 <= [(phi(U)-phi(V))(U-V)] (|U|^p+|V|^p)^((2-p)/p)
-        is evaluated; returns (max of lhs - rhs, max of rhs) so callers can
-        form a relative margin.
-        """
-        p = self.params.p
-        if not 1.0 < p < 2.0:
-            raise ValueError("the pairwise gap is defined for 1 < p < 2 only")
-        w_exp = (2.0 - p) / p
-        eps = np.finfo(float).eps
-
-        def gap(U: NDArray, V: NDArray):
-            d = U - V
-            abs_u, abs_v = np.abs(U), np.abs(V)
-            # one power per difference: |U|^(p-1) gives phi_p(U) and |U|^p
-            pow_u, pow_v = abs_u ** (p - 1.0), abs_v ** (p - 1.0)
-            rhs = np.copysign(pow_u, U)
-            rhs -= np.copysign(pow_v, V)
-            rhs *= d
-            pow_u *= abs_u
-            pow_v *= abs_v
-            pow_u += pow_v
-            pow_u **= w_exp
-            rhs *= pow_u
-            # pairs separated by less than the float quantization of the odd
-            # power cannot be tested meaningfully; this also leaves out the
-            # pairs with both differences zero, which the inequality excludes
-            abs_u += abs_v
-            abs_u *= 4.0 * eps
-            live = np.abs(d) > abs_u
-            d *= d
-            d *= p - 1.0  # the lhs
-            d -= rhs
-            # no live pair gives (-inf, 0.0); rhs >= 0 on live pairs (phi_p
-            # increases), so the initial 0 moves no other maximum
-            worst = np.max(d, where=live, initial=-np.inf)
-            return float(worst), float(np.max(rhs, where=live, initial=0.0))
-
-        def block(lo: int, hi: int):
-            # the diagonal pairs (i, i) have U = V = 0 and are not live
-            return gap(u_om[lo:hi, None] - u_om[None, :], v_om[lo:hi, None] - v_om[None, :])
-
-        parts = map_blocks(block, len(u_om))
-        parts.append(gap(u_om, v_om))  # Omega-to-exterior pairs (V side is 0 there)
-        worst = max(p[0] for p in parts)
-        scale = max(p[1] for p in parts)
-        return worst, scale
-
 
 def energy_kernel(dom: GridDomain, params: FracParams, fold: bool = False) -> EnergyKernel:
     """EnergyKernel(dom, params, fold), cached on dom; on a grid whose group

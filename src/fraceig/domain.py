@@ -74,19 +74,6 @@ def unit_ball_volume(dim: int) -> float:
 
 
 @dataclass(frozen=True)
-class _Interval:
-    a: float
-    b: float
-
-    def bbox(self):
-        return np.array([self.a]), np.array([self.b])
-
-    def contains(self, pts: NDArray) -> NDArray:
-        x = pts[:, 0]
-        return (x > self.a) & (x < self.b)
-
-
-@dataclass(frozen=True)
 class _Box:
     lo: NDArray
     hi: NDArray
@@ -208,7 +195,7 @@ def _parse_shape(d: dict, dim: int, h: float):
         a, b = _finite_field(d, "a"), _finite_field(d, "b")
         if not b > a:
             raise ValueError(f"empty interval ({a},{b})")
-        return _Interval(a, b)
+        return _Box(np.array([a]), np.array([b]))
     if kind == "box":
         lo = _finite_field(d, "min", as_floats)
         hi = _finite_field(d, "max", as_floats)
@@ -425,7 +412,6 @@ class GridDomain:
     origin: NDArray
     counts: tuple
     lattice_index: NDArray
-    # created with the grid, so threads sharing it never race to create it
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def memo(self, key, build: Callable[[], T]) -> T:
@@ -667,6 +653,19 @@ def _lattice_axes(anchor: NDArray, h: float, k_lo: NDArray, k_hi: NDArray):
     return [anchor[d] + h * np.arange(k_lo[d], k_hi[d] + 1) for d in range(len(anchor))]
 
 
+def _lattice_bounds(anchor: NDArray, h: float, lo: NDArray, hi: NDArray) -> tuple[NDArray, NDArray]:
+    """Integer index bounds (k_lo, k_hi) of a lattice covering [lo, hi] with
+    one spare point per side; a lattice whose points would not fit the
+    dense budget, or whose extent is not finite, is refused first."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        k_lo = np.floor((lo - anchor) / h) - 1
+        k_hi = np.ceil((hi - anchor) / h) + 1
+    if not (np.all(np.isfinite(k_lo)) and np.all(np.isfinite(k_hi))):
+        raise ValueError("the bounding lattice has a non-finite extent; use a smaller shape or a larger h")
+    check_dense_pairs(math.prod(int(n) for n in k_hi - k_lo + 1), len(anchor), "the bounding lattice")
+    return k_lo.astype(np.int64), k_hi.astype(np.int64)
+
+
 def _lattice_points(axes: Sequence[NDArray]) -> NDArray:
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -692,8 +691,7 @@ def build_domain(spec: DomainSpec, t: float = 4.0) -> GridDomain:
 
     # first pass: flag Omega on the lattice restricted to the shape bbox
     lo, hi = shape.bbox()
-    k_lo = np.floor((lo - anchor) / h).astype(np.int64) - 1
-    k_hi = np.ceil((hi - anchor) / h).astype(np.int64) + 1
+    k_lo, k_hi = _lattice_bounds(anchor, h, lo, hi)
     pts = _lattice_points(_lattice_axes(anchor, h, k_lo, k_hi))
     inside = shape.contains(pts)
     flagged = pts[inside]
@@ -714,8 +712,7 @@ def build_domain(spec: DomainSpec, t: float = 4.0) -> GridDomain:
 
     # second pass: enumerate the ball lattice around the center
     half = 0.5 * t * diameter
-    k_lo = np.floor((center - half - anchor) / h).astype(np.int64) - 1
-    k_hi = np.ceil((center + half - anchor) / h).astype(np.int64) + 1
+    k_lo, k_hi = _lattice_bounds(anchor, h, center - half, center + half)
     axes = _lattice_axes(anchor, h, k_lo, k_hi)
     counts = tuple(len(ax) for ax in axes)
     pts = _lattice_points(axes)

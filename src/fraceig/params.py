@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,8 @@ class SolverConfig:
     target of solve_dirichlet (the eigen solver sets its inner targets
     from its outer residual).  A solve is converged only below tol or at
     the computed float floor (EnergyKernel.gradient_floor).
-    seed feeds every randomized property check; threads sets the worker
-    count of s_sweep (one eigensolve per s), at most one per CPU, and never
-    changes a result.
+    seed feeds every randomized property check.  threads has no effect;
+    the field stays for existing callers.
     """
 
     tol: float = 1e-8
@@ -56,7 +55,7 @@ class SolverConfig:
     max_iter_outer: int = 500
     max_iter_inner: int = 10000
     seed: int = 42
-    threads: int = field(default=1)
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < math.inf:

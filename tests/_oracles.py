@@ -2,6 +2,9 @@
 
 Everything here is written as plain loops over the raw arrays so the
 expected values do not share a code path with the package's assemblers.
+Cell-to-cell distances are h |k_i - k_j| over the integer lattice
+coordinates k (GridDomain.coords), so they carry one rounding on any h,
+where differences of rounded cell centers lose digits on a non-dyadic h.
 """
 
 import itertools
@@ -11,19 +14,20 @@ import numpy as np
 import scipy.linalg
 
 
-def energy_double_sum(cells, values, h, dim, s, p):
+def energy_double_sum(coords, values, h, dim, s, p):
     """Sum over all ordered pairs i != j of |u_i-u_j|^p |x_i-x_j|^-(N+sp) h^(2N).
 
     Pairs with u_i = u_j = 0 add exactly 0 and are skipped.
     """
     expo = dim + s * p
+    k = coords.tolist()
     total = 0.0
-    m = len(cells)
+    m = len(k)
     for i in range(m):
         for j in range(m):
             if i == j or values[i] == values[j] == 0.0:
                 continue
-            d = math.dist(cells[i], cells[j])
+            d = h * math.dist(k[i], k[j])
             total += abs(values[i] - values[j]) ** p / d**expo * h ** (2 * dim)
     return total
 
@@ -36,10 +40,11 @@ def lp_sum(values, omega_mask, h, dim, p):
     return total ** (1.0 / p)
 
 
-def operator_double_sum(cells, values, omega_mask, h, dim, s, p):
+def operator_double_sum(coords, values, omega_mask, h, dim, s, p):
     """Gradient of the energy by explicit differentiation of the double sum."""
     expo = dim + s * p
-    m = len(cells)
+    k = coords.tolist()
+    m = len(k)
     g = np.zeros(m)
     for i in range(m):
         if not omega_mask[i]:
@@ -48,14 +53,14 @@ def operator_double_sum(cells, values, omega_mask, h, dim, s, p):
         for j in range(m):
             if j == i:
                 continue
-            d = math.dist(cells[i], cells[j])
+            d = h * math.dist(k[i], k[j])
             z = values[i] - values[j]
             acc += abs(z) ** (p - 1) * math.copysign(1.0, z) / d**expo if z != 0 else 0.0
         g[i] = 2.0 * p * acc * h ** (2 * dim)
     return g
 
 
-def hessian_loops(cells, values, omega_mask, h, dim, s, p, labels=None):
+def hessian_loops(coords, values, omega_mask, h, dim, s, p, labels=None):
     """Curvature of energy/p in the free-cell values, by explicit loops.
 
     Each ordered pair (i, j) adds (1/p)|u_i - u_j|^p |x_i - x_j|^-(N+sp) h^(2N);
@@ -67,47 +72,50 @@ def hessian_loops(cells, values, omega_mask, h, dim, s, p, labels=None):
     when P takes the cells of a label to one unknown.
     """
     expo = dim + s * p
+    k = coords.tolist()
     free = [i for i, f in enumerate(omega_mask) if f]
-    col = {i: k for k, i in enumerate(free)}
+    col = {i: c for c, i in enumerate(free)}
     delta = 1e-14 * (max(abs(v) for v in values) or 1.0)
     out = np.zeros((len(free), len(free)))
     for ii, i in enumerate(free):
-        for j in range(len(cells)):
+        for j in range(len(k)):
             if j == i or (labels is not None and omega_mask[j] and labels[i] == labels[j]):
                 continue
             z = max(abs(values[i] - values[j]), delta)
             # both orders (i, j) and (j, i) of the pair hold the term
-            w = 2.0 * (p - 1) * z ** (p - 2) / math.dist(cells[i], cells[j]) ** expo * h ** (2 * dim)
+            w = 2.0 * (p - 1) * z ** (p - 2) / (h * math.dist(k[i], k[j])) ** expo * h ** (2 * dim)
             out[ii, ii] += w
             if omega_mask[j]:
                 out[ii, col[j]] -= w
     return out
 
 
-def pair_gradient(cells, values, dim, s, p, rows=None):
+def pair_gradient(coords, values, h, dim, s, p, rows=None):
     """(u_i - u_j)/|x_i - x_j|^(N/p+s) for i in rows (default: every cell)."""
     expo = dim / p + s
-    m = len(cells)
+    k = coords.tolist()
+    m = len(k)
     rows = range(m) if rows is None else rows
     out = np.zeros((len(rows), m))
     for r, i in enumerate(rows):
         for j in range(m):
             if i != j:
-                out[r, j] = (values[i] - values[j]) / math.dist(cells[i], cells[j]) ** expo
+                out[r, j] = (values[i] - values[j]) / (h * math.dist(k[i], k[j])) ** expo
     return out
 
 
-def pair_divergence(cells, phi, h, dim, s, p, rows=None):
+def pair_divergence(coords, phi, h, dim, s, p, rows=None):
     """Adjoint field d_i for i in rows (default: every cell)."""
     expo = dim / p + s
-    m = len(cells)
+    k = coords.tolist()
+    m = len(k)
     rows = range(m) if rows is None else rows
     out = np.zeros(len(rows))
     for r, i in enumerate(rows):
         acc = 0.0
         for j in range(m):
             if j != i:
-                acc += (phi[i, j] - phi[j, i]) / math.dist(cells[i], cells[j]) ** expo
+                acc += (phi[i, j] - phi[j, i]) / (h * math.dist(k[i], k[j])) ** expo
         out[r] = acc * h**dim
     return out
 
@@ -116,10 +124,6 @@ def pair_divergence_fsum(coords, phi, h, dim, s, p):
     """(d, mag) over every cell: the adjoint field d_i with each row summed
     by math.fsum (correctly rounded), and mag_i the sum of the absolute
     terms |phi_ij - phi_ji| |x_i - x_j|^-(N/p+s), both times h^N.
-
-    Distances are h |k_i - k_j| over the integer lattice coordinates k, so
-    they carry one rounding on any h, where differences of rounded cell
-    centers lose digits on a non-dyadic h.
     """
     expo = dim / p + s
     m = len(coords)
@@ -137,45 +141,48 @@ def pair_divergence_fsum(coords, phi, h, dim, s, p):
     return d, mag
 
 
-def kernel_tables(cells, omega_mask, dim, s, p):
+def kernel_tables(coords, omega_mask, h, dim, s, p):
     """(K_oo, k_out): Omega-Omega weights |x_i - x_j|^-(N+sp), zero diagonal,
     and each Omega cell's weight sum toward the exterior cells."""
     expo = dim + s * p
+    k = coords.tolist()
     free = [i for i, f in enumerate(omega_mask) if f]
     k_oo = np.zeros((len(free), len(free)))
     k_out = np.zeros(len(free))
     for ii, i in enumerate(free):
         jj = 0
-        for j in range(len(cells)):
+        for j in range(len(k)):
             if omega_mask[j]:
                 if j != i:
-                    k_oo[ii, jj] = math.dist(cells[i], cells[j]) ** -expo
+                    k_oo[ii, jj] = (h * math.dist(k[i], k[j])) ** -expo
                 jj += 1
             else:
-                k_out[ii] += math.dist(cells[i], cells[j]) ** -expo
+                k_out[ii] += (h * math.dist(k[i], k[j])) ** -expo
     return k_oo, k_out
 
 
-def adjoint_both_sides(cells, omega_mask, values, phi, h, dim, s, p):
+def adjoint_both_sides(coords, omega_mask, values, phi, h, dim, s, p):
     """(<u, div phi>, <phi, grad u>) by two independent naive loops."""
-    div = pair_divergence(cells, phi, h, dim, s, p)
-    lhs = sum(values[i] * div[i] for i in range(len(cells))) * h**dim
-    grad = pair_gradient(cells, values, dim, s, p)
+    div = pair_divergence(coords, phi, h, dim, s, p)
+    lhs = sum(values[i] * div[i] for i in range(len(coords))) * h**dim
+    grad = pair_gradient(coords, values, h, dim, s, p)
     rhs = float(np.sum(phi * grad)) * h ** (2 * dim)
     return lhs, rhs
 
 
-def poincare_search(cells, omega_mask, center, diameter, t, h, dim, s, p):
-    """Exhaustive scan over candidate centers and integer radii."""
+def poincare_search(cells, coords, omega_mask, center, diameter, t, h, dim, s, p):
+    """Exhaustive scan over candidate centers and integer radii; distances
+    to the center from the cell centers, between cells from coords."""
     vol = 2.0 if dim == 1 else math.pi
     half = 0.5 * t * diameter
-    omega = [c for c, f in zip(cells, omega_mask) if f]
+    k = coords.tolist()
+    omega = [x for x, f in zip(k, omega_mask) if f]
     best = math.inf
-    for c, flag in zip(cells, omega_mask):
+    for c, kc, flag in zip(cells, k, omega_mask):
         if flag:
             continue
-        dmin = min(math.dist(c, x) for x in omega)
-        dmax = max(math.dist(c, x) for x in omega)
+        dmin = min(h * math.dist(kc, x) for x in omega)
+        dmax = max(h * math.dist(kc, x) for x in omega)
         room = half - math.dist(c, center)
         k = 1
         while k * h <= min(dmin, room) * (1 + 1e-9):
@@ -186,18 +193,19 @@ def poincare_search(cells, omega_mask, center, diameter, t, h, dim, s, p):
     return best
 
 
-def dense_p2_matrix(cells, omega_mask, h, dim, s):
+def dense_p2_matrix(coords, omega_mask, h, dim, s):
     """Free-cell matrix with v^T A v = energy(v)/h^N at p = 2, by loops."""
     expo = dim + 2 * s
+    k = coords.tolist()
     free = [i for i, f in enumerate(omega_mask) if f]
     n = len(free)
     a = np.zeros((n, n))
     for ii, i in enumerate(free):
         diag = 0.0
-        for j in range(len(cells)):
+        for j in range(len(k)):
             if j == i:
                 continue
-            w = math.dist(cells[i], cells[j]) ** -expo
+            w = (h * math.dist(k[i], k[j])) ** -expo
             diag += w
             if omega_mask[j]:
                 a[ii, free.index(j)] -= w
@@ -205,8 +213,8 @@ def dense_p2_matrix(cells, omega_mask, h, dim, s):
     return 2.0 * h**dim * a
 
 
-def dense_p2_eigenpair(cells, omega_mask, h, dim, s):
-    a = dense_p2_matrix(cells, omega_mask, h, dim, s)
+def dense_p2_eigenpair(coords, omega_mask, h, dim, s):
+    a = dense_p2_matrix(coords, omega_mask, h, dim, s)
     vals, vecs = scipy.linalg.eigh(a)
     v = vecs[:, 0]
     if v.sum() < 0:
@@ -223,12 +231,13 @@ def max_pairwise_distance(points):
     return best
 
 
-def far_field_loops(cells, values, omega_mask, center, origin, h, dim, diameter, t, s, p, factor):
+def far_field_loops(coords, values, omega_mask, center, origin, h, dim, diameter, t, s, p, factor):
     """Far-field part W of the equivalence split, by explicit loops.
 
     Sums 2 |u_i|^p |x_i - y|^-(N+sp) h^(2N) over the Omega cells x_i and the
     lattice points y = origin + h k with t R / 2 < |y - center| <= factor R,
     then adds the radial tail 2 (N |B_1| / sp) (factor R)^(-sp) ||u||_p^p.
+    |x_i - y| is h |k_i - k| for the coords k_i of x_i.
     """
     expo = dim + s * p
     sp = s * p
@@ -239,15 +248,16 @@ def far_field_loops(cells, values, omega_mask, center, origin, h, dim, diameter,
         y = [origin[d] + h * k[d] for d in range(dim)]
         r = math.dist(y, center)
         if half * (1 + 1e-12) < r <= r_quad * (1 + 1e-12):
-            points.append(y)
+            points.append(k)
+    lattice = coords.tolist()
     quad, lp = 0.0, 0.0
     for i, flag in enumerate(omega_mask):
         if not flag:
             continue
         up = abs(values[i]) ** p
         lp += up * h**dim
-        for y in points:
-            quad += 2.0 * up / math.dist(cells[i], y) ** expo * h ** (2 * dim)
+        for k in points:
+            quad += 2.0 * up / (h * math.dist(lattice[i], k)) ** expo * h ** (2 * dim)
     vol = 2.0 if dim == 1 else math.pi
     return quad + 2.0 * (dim * vol / sp) * r_quad ** (-sp) * lp
 

@@ -1,9 +1,11 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 from fraceig import (
+    DirichletProblem,
     FracParams,
     GridFunction,
     SolverConfig,
@@ -17,13 +19,30 @@ from fraceig import (
     s_sweep,
     scaling_check,
     seminorm_distance,
+    solve_dirichlet,
     translation_quotient_check,
 )
+from fraceig.verify import run_suite
 
 from _oracles import far_field_loops, shell_sums_vectorized
 from conftest import interval_spec, mask_spec, random_function
 
 P2 = FracParams(s=0.5, p=2.0)
+
+
+def test_fraceig_starts_no_thread(interval16, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"fraceig started a thread: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = SolverConfig(threads=8)
+    report = s_sweep(interval16, 2.0, [0.3, 0.4, 0.5, 0.6], 0.3, cfg)
+    assert all(r.converged for r in report.rows)
+    params = FracParams(s=0.75, p=1.5)
+    first_eigenpair(interval16, params, cfg)
+    f = np.random.default_rng(55).standard_normal(interval16.n_omega)
+    solve_dirichlet(DirichletProblem(interval16, params, f), cfg)
+    assert run_suite("all", interval16, params, cfg)
 
 
 class TestSSweep:
@@ -177,31 +196,6 @@ class TestEquivalenceCheck:
                 reports.append(dataclasses.astuple(rep))
         assert all(r == reports[0] for r in reports)
 
-    def test_worker_threads_are_capped_at_the_cpu_count(self, interval16, monkeypatch):
-        import fraceig._reduce as reduce_mod
-
-        workers = []
-
-        class InlinePool:  # records its size, runs the tasks in this thread
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(reduce_mod, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(reduce_mod.os, "cpu_count", lambda: 3)
-        s_sweep(interval16, 2.0, [0.3, 0.4, 0.5, 0.6], 0.3, SolverConfig(threads=5000))
-        s_sweep(interval16, 2.0, [0.3, 0.4], 0.3, SolverConfig(threads=5000))
-        s_sweep(interval16, 2.0, [0.3, 0.4, 0.5, 0.6], 0.3, SolverConfig(threads=1))
-        assert workers == [3, 2]
-
     @pytest.mark.parametrize("name, factor", [("interval16", 20.0), ("box8", 3.0)])
     def test_far_field_matches_loop_oracle(self, name, factor, request):
         dom = request.getfixturevalue(name)
@@ -209,7 +203,7 @@ class TestEquivalenceCheck:
         u = random_function(dom, np.random.default_rng(54))
         rep = equivalence_check(u, params, quad_radius_factor=factor)
         want = far_field_loops(
-            dom.cells, u.values, dom.omega_mask, dom.center, dom.origin, dom.h, dom.dim,
+            dom.coords, u.values, dom.omega_mask, dom.center, dom.origin, dom.h, dom.dim,
             dom.diameter_R, dom.t, params.s, params.p, factor,
         )
         assert rep.W == pytest.approx(want, rel=1e-13)

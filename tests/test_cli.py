@@ -347,6 +347,29 @@ class TestPoincare:
         err = capsys.readouterr().err
         assert f"shape field {field!r} must be finite" in err and "coarse" not in err
 
+    @pytest.mark.parametrize(
+        "spec, t, message",
+        [
+            ({"dim": 2, "shape": {"type": "box", "min": [0, 0], "max": [2.0**31, 2.0**31]}}, 4,
+             "bounding lattice would be a dense"),
+            ({"dim": 2, "shape": {"type": "ball", "center": [0, 0], "radius": 2.0**40}}, 4,
+             "bounding lattice would be a dense"),
+            ({"dim": 1, "shape": {"type": "interval", "a": 0, "b": 3e8}}, 4,
+             "bounding lattice would be a dense"),
+            ({"dim": 2, "shape": {"type": "ball", "center": [0, 0], "radius": 1e308}}, 4,
+             "bounding lattice has a non-finite extent"),
+            # the shape's lattice fits; the truncation ball's does not
+            ({"dim": 1, "shape": {"type": "interval", "a": 0, "b": 1}}, 1e9,
+             "bounding lattice would be a dense"),
+        ],
+    )
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, spec, t, message):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({"h": 0.125, **spec}))
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2, "--t", t])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("dim", [1.9, True])
     def test_non_integer_dim_exits_2(self, tmp_path, capsys, dim):
         path = tmp_path / "domain.json"
@@ -380,6 +403,7 @@ class TestSolverFlags:
             (["eig", "--s", 0.5, "--p", 2], "--inner-tol"),
             (["sweep", "--p", 2, "--s-list", 0.5, "--s-base", 0.5], "--max-iter-inner"),
             (["verify", "--s", 0.5, "--p", 2, "--suite", "equivalence"], "--threads"),
+            (["sweep", "--p", 2, "--s-list", 0.5, "--s-base", 0.5], "--threads"),
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, domain_file, capsys, args, flag):
@@ -544,16 +568,3 @@ class TestOracle:
         code = run(["oracle", "--domain", domain_file, "--s", 0.5, "--p", 3,
                     "--out", tmp_path / "x.json"])
         assert code == 2
-
-
-class TestDeterminism:
-    def test_thread_count_does_not_change_output(self, domain_file, tmp_path):
-        outputs = []
-        for threads in (1, 2, 8):
-            out = tmp_path / f"sweep{threads}"
-            code = run(["sweep", "--domain", domain_file, "--p", 1.5,
-                        "--s-list", "0.3,0.4,0.5", "--s-base", 0.3,
-                        "--threads", threads, "--out", out])
-            assert code == 0
-            outputs.append(out.with_suffix(".json").read_text())
-        assert outputs[0] == outputs[1] == outputs[2]

@@ -63,6 +63,16 @@ def union2d():
     return build_domain(DomainSpec(dim=2, h=1 / 6, shape={"type": "union", "parts": parts}), t=4.0)
 
 
+@pytest.fixture(scope="module")
+def interval63():
+    return build_domain(interval_spec(1 / 63), t=4.0)
+
+
+@pytest.fixture(scope="module")
+def box12():
+    return build_domain(box_spec(1 / 12), t=4.0)
+
+
 def oracle_rows(dom):
     """Every cell on small grids; on larger ones, a spread of Omega and
     exterior rows that keeps the loop oracles fast."""
@@ -81,13 +91,17 @@ class TestKernelTables:
             ("union2d", 0.3, 1.5),
             ("holed6", 0.5, 2.0),
             ("asym64", 0.3, 1.5),
+            ("interval63", 0.75, 1.5),  # non-dyadic h
+            ("box12", 0.5, 2.0),
         ],
     )
     def test_matches_loop_oracle(self, name, s, p, request):
         dom = request.getfixturevalue(name)
         kern = energy_kernel(dom, FracParams(s=s, p=p))
-        k_oo, k_out = kernel_tables(dom.cells, dom.omega_mask, dom.dim, s, p)
-        np.testing.assert_allclose(kern.K_oo, k_oo, rtol=1e-13, atol=0)
+        k_oo, k_out = kernel_tables(dom.coords, dom.omega_mask, dom.h, dom.dim, s, p)
+        # each weight is one power of one rounded distance on both sides;
+        # the exterior sums add their terms in different orders
+        np.testing.assert_allclose(kern.K_oo, k_oo, rtol=1e-15, atol=0)
         np.testing.assert_allclose(kern.k_out, k_out, rtol=1e-13, atol=0)
 
     def test_dilation_scales_tables(self, box8):
@@ -153,7 +167,7 @@ class TestGagliardoEnergy:
         u = GridFunction(values, dom)
         e = gagliardo_energy(u, PARAMS)
         assert e == pytest.approx(401 / 72, rel=1e-14)
-        oracle = energy_double_sum(dom.cells, values, dom.h, 1, 0.5, 2.0)
+        oracle = energy_double_sum(dom.coords, values, dom.h, 1, 0.5, 2.0)
         assert e == pytest.approx(oracle, rel=1e-13)
 
     def test_double_sum_oracle_random(self, interval8):
@@ -161,7 +175,7 @@ class TestGagliardoEnergy:
         u = random_function(interval8, rng)
         for s, p in ((0.3, 1.5), (0.5, 2.0), (0.7, 3.0)):
             params = FracParams(s=s, p=p)
-            oracle = energy_double_sum(interval8.cells, u.values, interval8.h, 1, s, p)
+            oracle = energy_double_sum(interval8.coords, u.values, interval8.h, 1, s, p)
             assert gagliardo_energy(u, params) == pytest.approx(oracle, rel=1e-12)
 
     def test_kernel_s_monotonicity(self, interval16):
@@ -260,7 +274,7 @@ class TestApplyOperator:
         for s, p in ((0.5, 3.0), (0.3, 1.5)):
             g = apply_operator(u, FracParams(s=s, p=p))
             oracle = operator_double_sum(
-                interval8.cells, u.values, interval8.omega_mask, interval8.h, 1, s, p
+                interval8.coords, u.values, interval8.omega_mask, interval8.h, 1, s, p
             )
             np.testing.assert_allclose(g.values, oracle, rtol=1e-12, atol=1e-14)
 
@@ -298,8 +312,8 @@ class TestEnergyGrad:
         u = GridFunction.from_omega(dom, u_om)
         s = 0.4
         energy, grad = energy_kernel(dom, FracParams(s=s, p=p)).energy_grad(u_om)
-        e_oracle = energy_double_sum(dom.cells, u.values, dom.h, dom.dim, s, p)
-        g_oracle = operator_double_sum(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
+        e_oracle = energy_double_sum(dom.coords, u.values, dom.h, dom.dim, s, p)
+        g_oracle = operator_double_sum(dom.coords, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
         assert energy == pytest.approx(e_oracle, rel=1e-13)
         np.testing.assert_allclose(grad, g_oracle[dom.omega_indices], rtol=1e-13, atol=0)
 
@@ -330,7 +344,7 @@ class TestHessian:
         u = GridFunction.from_omega(dom, u_om)
         s = 0.4
         hess = energy_kernel(dom, FracParams(s=s, p=p)).hessian_omega(u_om)
-        oracle = hessian_loops(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
+        oracle = hessian_loops(dom.coords, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
         np.testing.assert_allclose(hess, oracle, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -380,7 +394,7 @@ class TestPairOperations:
             u = random_function(dom, rng)
             rows = oracle_rows(dom)
             got = nonlocal_gradient(u, params).values[rows]
-            want = pair_gradient(dom.cells, u.values, dom.dim, 0.4, 2.5, rows)
+            want = pair_gradient(dom.coords, u.values, dom.h, dom.dim, 0.4, 2.5, rows)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
     def test_power_sum_recovers_energy(self, interval8):
@@ -417,7 +431,7 @@ class TestPairOperations:
             phi = PairFunction(rng.standard_normal((dom.n_cells,) * 2), dom)
             rows = oracle_rows(dom)
             got = nonlocal_divergence(phi, PARAMS)[rows]
-            want = pair_divergence(dom.cells, phi.values, dom.h, dom.dim, 0.5, 2.0, rows)
+            want = pair_divergence(dom.coords, phi.values, dom.h, dom.dim, 0.5, 2.0, rows)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -454,7 +468,7 @@ class TestPairOperations:
             rhs = float(np.sum(phi.values * nonlocal_gradient(u, PARAMS).values)) * hn * hn
             assert lhs == pytest.approx(rhs, rel=1e-12)
             o_lhs, o_rhs = adjoint_both_sides(
-                interval8.cells, interval8.omega_mask, u.values, phi.values, hn, 1, 0.5, 2.0
+                interval8.coords, interval8.omega_mask, u.values, phi.values, hn, 1, 0.5, 2.0
             )
             assert lhs == pytest.approx(o_lhs, rel=1e-11)
             assert rhs == pytest.approx(o_rhs, rel=1e-11)

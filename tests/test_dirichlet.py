@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraceig.domain as domain_mod
 from fraceig import (
     ConvergenceError,
     DirichletProblem,
@@ -11,6 +14,7 @@ from fraceig import (
     GridFunction,
     PairFunction,
     SolverConfig,
+    build_domain,
     comparison_check,
     first_eigenpair,
     gagliardo_energy,
@@ -23,7 +27,7 @@ from fraceig import (
 from fraceig.core import energy_kernel, phi_p
 
 from _oracles import psmall_gap_loops
-from conftest import random_function
+from conftest import box_spec, random_function
 
 P2 = FracParams(s=0.5, p=2.0)
 P15 = FracParams(s=0.5, p=1.5)
@@ -171,12 +175,10 @@ class TestSolveDirichlet:
     def test_energy_reductions_start_no_pool(self, interval256, monkeypatch):
         # more free cells than one reduction block, so a pooled reduction
         # would have several blocks to hand out
-        import fraceig._reduce
+        def no_thread(self):
+            raise AssertionError("an energy reduction started a thread")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("an energy reduction started a thread pool")
-
-        monkeypatch.setattr(fraceig._reduce, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         cfg = SolverConfig(threads=2)
         first_eigenpair(interval256, P15, cfg)
         f = np.random.default_rng(38).standard_normal(interval256.n_omega)
@@ -288,6 +290,18 @@ class TestMonotonicityCertificate:
         want_gap, want_scale = psmall_gap_loops(u.values, v.values, dom.omega_mask, 1.5)
         assert scale == pytest.approx(want_scale, rel=1e-13)
         assert gap == pytest.approx(want_gap, rel=1e-12, abs=1e-13 * scale)
+
+    def test_gap_builds_no_kernel_table(self, monkeypatch):
+        # box16: a budget that refuses the energy kernel's 256 x 256 table
+        dom = build_domain(box_spec(1 / 16), t=4.0)
+        monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 36 * 256)
+        rng = np.random.default_rng(45)
+        u, v = random_function(dom, rng), random_function(dom, rng)
+        gap, scale = psmall_pairwise_gap(u, v, P15)
+        assert 0.0 < scale and gap <= 1e-12 * scale
+        assert dom._tables == {}
+        with pytest.raises(ValueError, match="energy kernel's Omega x Omega table"):
+            energy_kernel(dom, P15)
 
     def test_host_mismatch(self, interval16, interval8):
         with pytest.raises(ValueError, match="hosts"):

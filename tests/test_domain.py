@@ -108,6 +108,14 @@ class TestBuildDomain:
             masked.cells[masked.omega_mask], box.cells[box.omega_mask], atol=1e-12
         )
 
+    @pytest.mark.parametrize("h, a, b", [(1 / 16, 0.0, 1.0), (1 / 63, -0.3, 0.7), (0.1, 2.5, 3.7)])
+    def test_interval_is_the_1d_box(self, h, a, b):
+        interval = build_domain(interval_spec(h, a=a, b=b), t=4.0)
+        box = build_domain(DomainSpec(dim=1, h=h, shape={"type": "box", "min": [a], "max": [b]}), t=4.0)
+        for f in (f for f in dataclasses.fields(box) if f.init):
+            want, got = getattr(box, f.name), getattr(interval, f.name)
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
     def test_ball_shape(self):
         spec = DomainSpec(dim=2, h=1 / 8, shape={"type": "ball", "center": [0.0, 0.0], "radius": 0.5})
         dom = build_domain(spec, t=4.0)
@@ -235,6 +243,7 @@ class TestPoincareConstant:
         value = poincare_constant(interval8, params)
         oracle = poincare_search(
             interval8.cells,
+            interval8.coords,
             interval8.omega_mask,
             interval8.center,
             interval8.diameter_R,
@@ -252,6 +261,7 @@ class TestPoincareConstant:
         value = poincare_constant(union16, params)
         oracle = poincare_search(
             union16.cells,
+            union16.coords,
             union16.omega_mask,
             union16.center,
             union16.diameter_R,

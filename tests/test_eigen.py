@@ -45,7 +45,7 @@ class TestP2Oracle:
 
     def test_matches_naive_dense_assembly(self, interval16):
         lam_naive, vec_naive = dense_p2_eigenpair(
-            interval16.cells, interval16.omega_mask, interval16.h, 1, 0.5
+            interval16.coords, interval16.omega_mask, interval16.h, 1, 0.5
         )
         pair = p2_oracle(interval16, P2)
         assert pair.lam == pytest.approx(lam_naive, rel=1e-12)

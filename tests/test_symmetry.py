@@ -67,14 +67,14 @@ def test_folded_kernel_matches_projected_loop_oracles(name, p, request):
     u = GridFunction.from_omega(dom, big @ a)
     kern = energy_kernel(dom, FracParams(s=s, p=p), fold=True)
     energy, grad = kern.energy_grad(a)
-    e_oracle = energy_double_sum(dom.cells, u.values, dom.h, dom.dim, s, p)
-    g_oracle = operator_double_sum(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
+    e_oracle = energy_double_sum(dom.coords, u.values, dom.h, dom.dim, s, p)
+    g_oracle = operator_double_sum(dom.coords, u.values, dom.omega_mask, dom.h, dom.dim, s, p)
     # pairs inside an orbit are exact ties; P^T H P cancels their floored
     # weights exactly, but below p = 2 those weights are about 1e7 times the
     # others, so the oracle leaves them out rather than cancel them in float
     labels = np.full(dom.n_cells, -1)
     labels[dom.omega_indices] = dom.symmetry.orbit
-    h_oracle = hessian_loops(dom.cells, u.values, dom.omega_mask, dom.h, dom.dim, s, p,
+    h_oracle = hessian_loops(dom.coords, u.values, dom.omega_mask, dom.h, dom.dim, s, p,
                              labels=labels if p < 2.0 else None)
     assert energy == pytest.approx(e_oracle, rel=1e-13)
     np.testing.assert_allclose(grad, big.T @ g_oracle[dom.omega_indices], rtol=1e-13, atol=0)
@@ -155,8 +155,8 @@ def test_public_energies_of_eigenfunctions_need_no_plain_table(monkeypatch):
     # box16 has 36 orbits of 256 free cells: the budget admits the folded
     # 36 x 256 rows and refuses the plain 256 x 256 table
     params, low = FracParams(s=0.5, p=1.5), FracParams(s=0.4, p=1.5)
+    dom = build_domain(box_spec(1 / 16), t=4.0)  # its 92 x 92 lattice exceeds that budget
     monkeypatch.setattr(domain_mod, "_DENSE_PAIR_BYTES", 8 * 36 * 256)
-    dom = build_domain(box_spec(1 / 16), t=4.0)
     u = first_eigenpair(dom, params).eigenfunction
     v = first_eigenpair(dom, low).eigenfunction
     quotient = rayleigh_quotient(u, params)
