@@ -110,7 +110,7 @@ def cmd_solve(args) -> int:
 
 
 def _parse_s_values(args) -> list[float]:
-    if args.s_list:
+    if args.s_list is not None:
         values = [float(v) for v in args.s_list.split(",") if v.strip()]
     else:
         lo_s, hi_s, step = (float(v) for v in args.s_range.split(":"))
@@ -208,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = command("sweep", "eigenvalue sweep across s")
     _add_common(p_sweep, with_params=False, solver=_EIGEN_FLAGS)
     p_sweep.add_argument("--p", type=float, required=True, help="exponent p > 1")
-    p_sweep.add_argument("--s-list", default=None, help="comma-separated s values")
-    p_sweep.add_argument("--s-range", default=None, help="start:stop:step")
+    s_source = p_sweep.add_mutually_exclusive_group(required=True)
+    s_source.add_argument("--s-list", help="comma-separated s values")
+    s_source.add_argument("--s-range", help="start:stop:step")
     p_sweep.add_argument("--s-base", type=float, required=True)
     p_sweep.add_argument("--out", default="sweep")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -234,11 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "sweep":
-        if (args.s_list is None) == (args.s_range is None):
-            parser.error("sweep needs exactly one of --s-list / --s-range")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, IndexError) as exc:

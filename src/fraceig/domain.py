@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -381,9 +381,6 @@ class GridDomain:
         Spatial dimension, 1 or 2.
     h : float
         Cell width.
-    cells : (M, dim) float array
-        Centers of all cells of the ball, in row-major order of the
-        bounding lattice.
     omega_mask : (M,) bool array
         True where the cell center lies in Omega.
     center : (dim,) float array
@@ -399,12 +396,12 @@ class GridDomain:
     counts : tuple of int
         Bounding-lattice extent per dimension.
     lattice_index : (M,) int array
-        Row-major flat index of each cell within the bounding lattice.
+        Row-major flat index of each cell within the bounding lattice,
+        ascending; the cell centers (cells) are origin + h * coords.
     """
 
     dim: int
     h: float
-    cells: NDArray
     omega_mask: NDArray
     center: NDArray
     diameter_R: float
@@ -422,7 +419,7 @@ class GridDomain:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.lattice_index)
 
     @property
     def n_omega(self) -> int:
@@ -442,8 +439,13 @@ class GridDomain:
 
     @cached_property
     def coords(self) -> NDArray:
-        """(M, dim) integer lattice coordinates: cells = origin + h * coords."""
+        """(M, dim) integer lattice coordinates of the cells."""
         return np.stack(np.unravel_index(self.lattice_index, self.counts), axis=1)
+
+    @cached_property
+    def cells(self) -> NDArray:
+        """(M, dim) cell centers origin + h * coords."""
+        return self.origin + self.h * self.coords
 
     def _box_maps(self) -> tuple[list[tuple[NDArray, NDArray]], NDArray]:
         """lattice_symmetries, and the labels they keep: an int8 array over
@@ -627,27 +629,6 @@ class GridDomain:
         full[self.lattice_index] = values
         return full.reshape(self.counts)
 
-    def validate(self) -> None:
-        """Check the geometric invariants; raises ValueError on failure."""
-        drift = np.abs(self.cells - (self.origin + self.h * self.coords)).max()
-        if drift > 1e-6 * self.h + 1e-12 * float(np.abs(self.cells).max()):
-            raise ValueError("cell centers drift off the lattice origin + h * coords")
-        flagged = self.cells[self.omega_mask]
-        if len(flagged) == 0:
-            raise ValueError("no cell is flagged inside Omega")
-        if self.omega_mask.all():
-            raise ValueError("Omega fills the whole ball")
-        r_half = 0.5 * self.diameter_R
-        d_center = np.linalg.norm(flagged - self.center, axis=1)
-        if d_center.max() > r_half + self.h * (1 + 1e-9):
-            raise ValueError("a flagged cell escapes the enclosing ball of Omega")
-        d_all = np.linalg.norm(self.cells - self.center, axis=1)
-        if d_all.max() > 0.5 * self.t * self.diameter_R * (1 + 1e-9):
-            raise ValueError("a cell escapes the truncation ball")
-        brute = _set_diameter(flagged)
-        if abs(self.diameter_R - brute) > self.h * (1 + 1e-9):
-            raise ValueError("diameter_R drifts from the flagged-cell diameter")
-
 
 def _lattice_axes(anchor: NDArray, h: float, k_lo: NDArray, k_hi: NDArray):
     return [anchor[d] + h * np.arange(k_lo[d], k_hi[d] + 1) for d in range(len(anchor))]
@@ -655,14 +636,28 @@ def _lattice_axes(anchor: NDArray, h: float, k_lo: NDArray, k_hi: NDArray):
 
 def _lattice_bounds(anchor: NDArray, h: float, lo: NDArray, hi: NDArray) -> tuple[NDArray, NDArray]:
     """Integer index bounds (k_lo, k_hi) of a lattice covering [lo, hi] with
-    one spare point per side; a lattice whose points would not fit the
-    dense budget, or whose extent is not finite, is refused first."""
+    one spare point per side.  A lattice is refused first when its extent
+    is not finite, when its points would not fit the dense budget, or when
+    float64 cannot hold it: its spacing h to 1e-6 h at its largest
+    coordinate, or the square of twice that coordinate, which bounds every
+    squared distance the build computes."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         k_lo = np.floor((lo - anchor) / h) - 1
         k_hi = np.ceil((hi - anchor) / h) + 1
     if not (np.all(np.isfinite(k_lo)) and np.all(np.isfinite(k_hi))):
         raise ValueError("the bounding lattice has a non-finite extent; use a smaller shape or a larger h")
     check_dense_pairs(math.prod(int(n) for n in k_hi - k_lo + 1), len(anchor), "the bounding lattice")
+    reach = float(np.abs(np.r_[anchor + h * k_lo, anchor + h * k_hi]).max())
+    if np.spacing(reach) > 1e-6 * h:
+        raise ValueError(
+            f"float64 cannot resolve the cell width h = {h!r} at the lattice coordinate {reach:.3g}; "
+            "move the shape nearer the origin or use a larger h"
+        )
+    if not math.isfinite(len(anchor) * (2.0 * reach) * (2.0 * reach)):
+        raise ValueError(
+            f"squared distances across the lattice (coordinates up to {reach:.3g}) overflow float64; "
+            "use a smaller shape or truncation factor"
+        )
     return k_lo.astype(np.int64), k_hi.astype(np.int64)
 
 
@@ -717,47 +712,34 @@ def build_domain(spec: DomainSpec, t: float = 4.0) -> GridDomain:
     counts = tuple(len(ax) for ax in axes)
     pts = _lattice_points(axes)
     in_ball = np.linalg.norm(pts - center, axis=1) <= half * (1 + _GEOM_RTOL)
-    cells = pts[in_ball]
-    lattice_index = np.flatnonzero(in_ball)
-    omega = shape.contains(cells)
+    omega = shape.contains(pts[in_ball])
     if int(omega.sum()) != len(flagged):
         raise ValueError(
             "the truncation ball does not cover Omega at this resolution "
             "(t too small or h too coarse)"
         )
+    if omega.all():
+        raise ValueError("Omega fills the whole ball")
 
-    origin = np.array([ax[0] for ax in axes])
-    dom = GridDomain(
+    return GridDomain(
         dim=spec.dim,
         h=h,
-        cells=cells,
         omega_mask=omega,
         center=center,
         diameter_R=diameter,
         t=t,
-        origin=origin,
+        origin=np.array([ax[0] for ax in axes]),
         counts=counts,
-        lattice_index=lattice_index,
+        lattice_index=np.flatnonzero(in_ball),
     )
-    dom.validate()
-    return dom
 
 
 def dilate(dom: GridDomain, c: float) -> GridDomain:
-    """Grid for the dilated set c*Omega: same cells and mask, geometry scaled."""
+    """Grid for the dilated set c*Omega: same lattice and mask, geometry scaled."""
     if not c > 0:
         raise ValueError(f"dilation factor must be positive, got {c}")
-    return GridDomain(
-        dim=dom.dim,
-        h=c * dom.h,
-        cells=c * dom.cells,
-        omega_mask=dom.omega_mask.copy(),
-        center=c * dom.center,
-        diameter_R=c * dom.diameter_R,
-        t=dom.t,
-        origin=c * dom.origin,
-        counts=dom.counts,
-        lattice_index=dom.lattice_index.copy(),
+    return replace(
+        dom, h=c * dom.h, origin=c * dom.origin, center=c * dom.center, diameter_R=c * dom.diameter_R
     )
 
 

@@ -101,6 +101,24 @@ class TestEig:
         assert "tol must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t", [1.01, 1.2])
+    def test_omega_filling_the_ball_exits_2(self, tmp_path, capsys, t):
+        path = tmp_path / "interval4.json"
+        save_domain_spec(interval_spec(1 / 4), path)
+        out = tmp_path / "pair.json"
+        code = run(["eig", "--domain", path, "--s", 0.5, "--p", 2, "--t", t, "--out", out])
+        assert code == 2
+        assert "Omega fills the whole ball" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_narrowest_ball_with_an_exterior_cell_solves(self, tmp_path, capsys):
+        path = tmp_path / "interval4.json"
+        save_domain_spec(interval_spec(1 / 4), path)
+        code = run(["eig", "--domain", path, "--s", 0.5, "--p", 2, "--t", 1.6,
+                    "--out", tmp_path / "pair.json"])
+        assert code == 0
+        assert float(capsys.readouterr().out) == 5.308341133995976
+
 
 class TestSolve:
     def test_zero_problem_gives_zero_file(self, domain_file, tmp_path):
@@ -247,10 +265,25 @@ class TestSweep:
         assert code == 2
         assert "800000000001 values" in capsys.readouterr().err
 
-    def test_needs_exactly_one_s_source(self, domain_file, tmp_path):
+    def test_needs_exactly_one_s_source(self, domain_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--domain", domain_file, "--p", 2, "--s-base", 0.3])
         assert exc.value.code == 2
+        assert "one of the arguments --s-list --s-range is required" in capsys.readouterr().err
+
+    def test_both_s_sources_exit_2(self, domain_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--domain", domain_file, "--p", 2, "--s-list", "0.3,0.4",
+                 "--s-range", "0.3:0.4:0.1", "--s-base", 0.3, "--out", tmp_path / "s"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_empty_s_list_exits_2(self, domain_file, tmp_path, capsys):
+        # an empty --s-list once fell through to the --s-range parse and raised
+        code = run(["sweep", "--domain", domain_file, "--p", 2, "--s-list=",
+                    "--s-base", 0.3, "--out", tmp_path / "s"])
+        assert code == 2
+        assert "no s values given" in capsys.readouterr().err
 
     def test_base_not_in_list_exits_2(self, domain_file, tmp_path):
         code = run(["sweep", "--domain", domain_file, "--p", 2,
@@ -361,6 +394,12 @@ class TestPoincare:
             # the shape's lattice fits; the truncation ball's does not
             ({"dim": 1, "shape": {"type": "interval", "a": 0, "b": 1}}, 1e9,
              "bounding lattice would be a dense"),
+            # radius**2 once overflowed in the ball test, with a traceback
+            ({"dim": 2, "h": 1e158, "shape": {"type": "ball", "center": [0, 0], "radius": 1e160}}, 4,
+             "overflow float64"),
+            # every center once rounded to one x, and the grid solved
+            ({"dim": 2, "h": 0.1, "shape": {"type": "ball", "center": [1e300, 0], "radius": 1}}, 4,
+             "float64 cannot resolve"),
         ],
     )
     def test_oversized_grid_exits_2(self, tmp_path, capsys, spec, t, message):
