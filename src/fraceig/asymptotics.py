@@ -11,6 +11,7 @@ defect, so nothing is asserted there beyond the weighted monotonicity.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,8 @@ from .domain import GridDomain, dilate, unit_ball_volume
 from .eigen import Eigenpair, first_eigenpair, seminorm_distance
 from .errors import ConvergenceError
 from .params import FracParams, SolverConfig
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "SweepRow",
@@ -107,28 +110,52 @@ def s_sweep(
 ) -> SweepReport:
     """Solve the first eigenpair at every s and tabulate the results.
 
+    The s values must be distinct and lie in (0, 1), and s_base must be
+    one of them.  The eigen solves run one after another, in increasing s,
+    and continue in s: each row's solve starts from the previous row's
+    eigenfunction, on which the first eigenpair depends smoothly, so it
+    takes a few Newton steps where a solve from the indicator also pays
+    the inverse-power phase.  The first row, and a row after one that did
+    not converge, start from the indicator.  Either start reaches the same
+    eigenpair within the stopping tolerance, but near p = 1 a seeded solve
+    can stall where the indicator's does not, so a seeded row that does
+    not converge is solved again from the indicator.  Failed solves are
+    kept as rows flagged not converged.  Each row is logged at DEBUG.
+
     Eigenfunction distances to the base eigenfunction use the exponent
-    min(s, s_base) so the seminorm stays finite on both arguments.  The
-    eigen solves run one after another, in increasing s.  Failed solves
-    are kept as rows flagged not converged.
+    min(s, s_base) so the seminorm stays finite on both arguments.
     """
     s_values = sorted(float(s) for s in s_list)
     if not s_values:
         raise ValueError("empty s list")
     if not all(0.0 < s < 1.0 for s in s_values):
         raise ValueError("every s must lie in (0,1)")
+    for a, b in zip(s_values, s_values[1:]):
+        if a == b:
+            raise ValueError(f"s value {a!r} is repeated")
     if s_base not in s_values:
         raise ValueError("s_base must be one of the sweep values")
 
-    def solve(s: float) -> Eigenpair:
+    def solve(s: float, start: GridFunction | None) -> Eigenpair:
         try:
-            return first_eigenpair(dom, FracParams(s=s, p=p), cfg)
+            return first_eigenpair(dom, FracParams(s=s, p=p), cfg, start=start)
         except ConvergenceError as exc:
             if exc.partial is None:
                 raise
             return exc.partial
 
-    pairs = {s: solve(s) for s in s_values}
+    pairs: dict[float, Eigenpair] = {}
+    start = None
+    for s in s_values:
+        pair = solve(s, start)
+        if start is not None and not pair.converged:
+            _log.debug("seeded solve at s=%r ended %s; solving again from the indicator",
+                       s, pair.stop_reason)
+            pair, start = solve(s, None), None
+        _log.debug("sweep row s=%r: seeded %s, %d outer iterations, stop %s",
+                   s, start is not None, pair.iterations, pair.stop_reason)
+        pairs[s] = pair
+        start = pair.eigenfunction if pair.converged else None
 
     base_pair = pairs[s_base]
     weight_base = 2.5 * dom.diameter_R

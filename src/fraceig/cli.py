@@ -113,7 +113,10 @@ def _parse_s_values(args) -> list[float]:
     if args.s_list is not None:
         values = [float(v) for v in args.s_list.split(",") if v.strip()]
     else:
-        lo_s, hi_s, step = (float(v) for v in args.s_range.split(":"))
+        fields = args.s_range.split(":")
+        if len(fields) != 3:
+            raise ValueError(f"bad s range {args.s_range!r}: needs start:stop:step")
+        lo_s, hi_s, step = (float(v) for v in fields)
         if not (np.isfinite([lo_s, hi_s, step]).all() and step > 0 and hi_s >= lo_s):
             raise ValueError(f"bad s range {args.s_range!r}: needs finite start <= stop, step > 0")
         count = np.round((hi_s - lo_s) / step) + 1  # a float: inf when the quotient overflows
@@ -129,9 +132,9 @@ def _parse_s_values(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    s_values = _parse_s_values(args)
     dom = _domain(args)
     cfg = _config(args)
-    s_values = _parse_s_values(args)
     base = min(s_values, key=lambda s: abs(s - args.s_base))
     if not abs(base - args.s_base) <= 1e-9:  # also refuses a NaN --s-base
         raise ValueError(f"--s-base {args.s_base} is not among the sweep values")

@@ -17,11 +17,12 @@ Once the weak residual is at most _NEWTON_SWITCH, each outer step first
 tries one Newton step on the bordered eigen-system in (u, lambda), which
 converges quadratically: the first eigenvalue is simple and its
 eigenfunction positive for every p > 1, so the bordered Jacobian is
-nonsingular there.  A Newton step that fails to solve, raises lambda or
-raises the residual is refused; the solve then stops if the iterate is
-at its float floor, and otherwise takes the inverse-power step.  A solve
-is converged only at tol or at the computed floor
-EnergyKernel.gradient_floor.  For p < 2 the pair weights
+nonsingular there.  A solve from a given start tries one at its first
+step whatever the residual.  A Newton step that fails to solve, raises
+lambda or raises the residual is refused; at or below the switch the
+solve then stops if the iterate is at its float floor, and otherwise takes
+the inverse-power step.  A solve is converged only at tol or at the
+computed floor EnergyKernel.gradient_floor.  For p < 2 the pair weights
 |u_i - u_j|^(p-2) blow up at near-ties that the symmetry does not
 explain, and a solve may end at that floor rather than at tol.
 """
@@ -109,14 +110,15 @@ def _normalized(w: NDArray, p: float, mass: NDArray) -> NDArray | None:
 
 
 def _inverse_power_step(
-    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, first: bool, max_evals: int
+    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, indicator: bool, max_evals: int
 ) -> NDArray:
     """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) mass.
 
-    The inner solve stops at gradient norm 1e-2 min(1, res) ||b|| for the
-    outer residual res, within max_evals objective evaluations; an
-    unconverged inner run still yields its last iterate, which the outer
-    loop accepts or refuses on lambda.
+    The inner solve starts from u, or from minimize_energy's quadratic-form
+    start when u is the indicator.  It stops at gradient norm
+    1e-2 min(1, res) ||b|| for the outer residual res, within max_evals
+    objective evaluations; an unconverged inner run still yields its last
+    iterate, which the outer loop accepts or refuses on lambda.
     """
     p, mass = kern.params.p, kern.mass
     b = lam * phi_p(u_om, p) * mass
@@ -124,9 +126,11 @@ def _inverse_power_step(
     # outer residual; the tolerance tightens as the eigenpair settles
     b_norm = float(np.linalg.norm(b))
     gtol = 1e-2 * min(1.0, res) * max(b_norm, 1e-300)
-    # the indicator start carries exact pair ties; minimize_energy's
-    # quadratic-form start gives a smooth first inner iterate instead
-    inner = minimize_energy(kern, b, None if first else u_om, gtol, max_evals)
+    # the indicator ties every pair inside Omega exactly, where a p != 2
+    # Hessian is floored or blows up, so the quadratic-form start gives it
+    # a tie-free first inner iterate; any other u is already at the scale
+    # of the minimizer, which is u itself when u is an eigenfunction
+    inner = minimize_energy(kern, b, None if indicator else u_om, gtol, max_evals)
     u_new = _normalized(np.abs(inner.x), p, mass)
     if u_new is None:
         raise ConvergenceError("inner solve collapsed to zero", partial=None)
@@ -186,14 +190,19 @@ def first_eigenpair(
     orbit.  Norms carry the orbit sizes (kern.mass, kern.dual_norm), so
     residual and tol mean what they mean on the cells.
 
-    Once the residual is at most _NEWTON_SWITCH, each outer step first
-    tries a bordered Newton step.  One floor test decides convergence: the
-    weak residual is at most cfg.tol, or res * ||b|| is at most
-    kern.gradient_floor(u), b = lambda phi_p(u) h^N.  A Newton step
-    that fails, raises lambda by over 1e-12 relative or raises the
-    residual is refused (logged at DEBUG); the solve then stops if the
-    floor test holds, and otherwise takes the inverse-power step, whose
-    inner tolerance follows the residual alone.  The loop also stops once
+    Without a start the solve begins at the indicator of Omega.  Once the
+    residual is at most _NEWTON_SWITCH, each outer step first tries a
+    bordered Newton step; a given start, such as the eigenfunction at a
+    nearby s (s_sweep), also gets one at the first step whatever its
+    residual.  One floor test decides convergence: the weak residual is
+    at most cfg.tol, or res * ||b|| is at most kern.gradient_floor(u),
+    b = lambda phi_p(u) h^N.  A Newton step that fails, raises lambda by
+    over 1e-12 relative or raises the residual is refused (logged at
+    DEBUG).  At or below the switch the solve then stops if the floor
+    test holds; otherwise, and always above the switch, it takes the
+    inverse-power step, whose inner tolerance follows the residual alone.
+    Each inner solve starts from the current iterate, except the first
+    one from the indicator (_inverse_power_step).  The loop also stops once
     an accepted step moves lambda by at most cfg.tol relative at the
     floor, or at the float fixed point: a step that leaves u unchanged or
     raises lambda by over 1e-12 relative, which is refused.  converged is
@@ -232,7 +241,8 @@ def first_eigenpair(
     n = 0
     for n in range(1, cfg.max_iter_outer + 1):
         u_new = None
-        if res <= _NEWTON_SWITCH:
+        # a given start is trusted for one Newton step whatever its residual
+        if res <= _NEWTON_SWITCH or (start is not None and n == 1):
             u_new = _bordered_newton(kern, u_om, lam, grad)
             if u_new is not None:
                 lam_new, grad_new, res_new = _evaluate(kern, u_new)
@@ -241,10 +251,14 @@ def first_eigenpair(
             if u_new is None:
                 _log.debug("bordered Newton step refused at outer iteration %d "
                            "(lambda %.17g, residual %.3e)", n, lam, res)
-                if at_floor():
+                # only a given start's first step is refused above the
+                # switch, where the floor estimate is no stop test: at
+                # p = 1.1 it held at residual 9e-2, with lambda 6.5e-4 too high
+                if res <= _NEWTON_SWITCH and at_floor():
                     break
         if u_new is None:
-            u_new = _inverse_power_step(kern, u_om, lam, res, n == 1, cfg.max_iter_inner)
+            indicator = start is None and n == 1
+            u_new = _inverse_power_step(kern, u_om, lam, res, indicator, cfg.max_iter_inner)
             lam_new, grad_new, res_new = _evaluate(kern, u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate

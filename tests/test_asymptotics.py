@@ -1,9 +1,11 @@
 import dataclasses
+import logging
 import threading
 
 import numpy as np
 import pytest
 
+import fraceig.asymptotics
 from fraceig import (
     DirichletProblem,
     FracParams,
@@ -85,6 +87,74 @@ class TestSSweep:
         report = s_sweep(interval16, 3.0, [0.3, 0.5], 0.3, cfg)
         assert any(not r.converged for r in report.rows)
 
+    def test_only_converged_rows_seed_the_next(self, interval16, monkeypatch):
+        starts = []
+        real = fraceig.asymptotics.first_eigenpair
+
+        def recording(dom, params, cfg, start=None):
+            starts.append(start)
+            return real(dom, params, cfg, start=start)
+
+        monkeypatch.setattr(fraceig.asymptotics, "first_eigenpair", recording)
+        cfg = SolverConfig(tol=1e-30, max_iter_outer=1)
+        report = s_sweep(interval16, 3.0, [0.3, 0.5], 0.3, cfg)
+        assert not report.rows[0].converged
+        assert starts == [None, None]
+        starts.clear()
+        report = s_sweep(interval16, 3.0, [0.3, 0.5], 0.3)
+        assert report.rows[0].converged
+        assert starts[0] is None and starts[1] is report.eigenfunctions[0.3]
+
+    def test_a_stalled_seeded_row_is_solved_again_from_the_indicator(
+        self, interval64, monkeypatch
+    ):
+        # at p = 1.1 the solve from the s = 0.5 eigenfunction stalls at s = 0.65
+        seeded = []
+        real = fraceig.asymptotics.first_eigenpair
+
+        def recording(dom, params, cfg, start=None):
+            seeded.append(start is not None)
+            return real(dom, params, cfg, start=start)
+
+        monkeypatch.setattr(fraceig.asymptotics, "first_eigenpair", recording)
+        report = s_sweep(interval64, 1.1, [0.5, 0.65], 0.5)
+        assert seeded == [False, True, False]
+        alone = real(interval64, FracParams(s=0.65, p=1.1), SolverConfig())
+        row = report.row_at(0.65)
+        assert row.converged and row.lam == alone.lam
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", ["interval16", "box8"])
+    def test_continuation_changes_only_the_work(self, name, p, request):
+        dom = request.getfixturevalue(name)
+        s_values = [0.3, 0.4, 0.5, 0.6, 0.7]
+        report = s_sweep(dom, p, s_values, 0.5)
+        alone = [first_eigenpair(dom, FracParams(s=s, p=p)) for s in s_values]
+        for row, pair in zip(report.rows, alone):
+            assert row.converged
+            assert row.lam == pytest.approx(pair.lam, rel=1e-12)
+        assert report.rows[0].iterations == alone[0].iterations  # both from the indicator
+        seeded = sum(r.iterations for r in report.rows[1:])
+        assert seeded < sum(pair.iterations for pair in alone[1:])
+
+    def test_seeded_rows_take_the_floor_test_only_below_the_switch(self, interval64):
+        # at p = 1.1 the floor estimate held at a seeded start's residual
+        # 9e-2, and stopping there left the s = 0.65 row 6.5e-4 too high
+        report = s_sweep(interval64, 1.1, [0.2, 0.35, 0.5, 0.65, 0.8], 0.5)
+        for row in report.rows:
+            alone = first_eigenpair(interval64, FracParams(s=row.s, p=1.1))
+            assert row.lam == pytest.approx(alone.lam, rel=1e-9)
+
+    def test_one_debug_record_per_row(self, interval16, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fraceig.asymptotics"):
+            report = s_sweep(interval16, 2.0, [0.3, 0.4, 0.5], 0.3)
+        records = [r.getMessage() for r in caplog.records if r.name == "fraceig.asymptotics"]
+        assert records == [
+            f"sweep row s={r.s!r}: seeded {r.s != 0.3}, {r.iterations} outer iterations, "
+            f"stop {r.stop_reason}"
+            for r in report.rows
+        ]
+
     def test_concurrent_matches_serial(self, interval16):
         serial = s_sweep(interval16, 2.0, [0.3, 0.4, 0.5], 0.3, SolverConfig(threads=1))
         threaded = s_sweep(interval16, 2.0, [0.3, 0.4, 0.5], 0.3, SolverConfig(threads=3))
@@ -98,6 +168,8 @@ class TestSSweep:
             s_sweep(interval16, 2.0, [0.3, 1.4], 0.3)
         with pytest.raises(ValueError, match="empty"):
             s_sweep(interval16, 2.0, [], 0.3)
+        with pytest.raises(ValueError, match="s value 0.5 is repeated"):
+            s_sweep(interval16, 2.0, [0.5, 0.3, 0.5], 0.3)
 
     def test_right_continuity_proxy(self, interval16):
         lam0 = first_eigenpair(interval16, P2).lam

@@ -1,12 +1,26 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fraceig import FracParams, build_domain, first_eigenpair, p2_oracle, poincare_constant
+import fraceig.asymptotics
+import fraceig.cli
+from fraceig import (
+    Eigenpair,
+    FracParams,
+    GridFunction,
+    build_domain,
+    first_eigenpair,
+    p2_oracle,
+    poincare_constant,
+)
 from fraceig.cli import _parse_s_values, main
 from fraceig.serialize import load_domain_spec, save_domain_spec
 
@@ -253,6 +267,24 @@ class TestSweep:
         assert code == 2
         assert "bad s range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, base, message",
+        [
+            ("--s-list=0.5,0.5", 0.5, "s value 0.5 is repeated"),
+            ("--s-list=0.5,0.50,0.3", 0.5, "s value 0.5 is repeated"),
+            # 11 steps of 1e-14 round to 12 digits, all to 0.1
+            ("--s-range=0.1:0.1000000000001:1e-14", 0.1, "s value 0.1 is repeated"),
+            ("--s-range=0.1:0.9", 0.1, "bad s range '0.1:0.9': needs start:stop:step"),
+            ("--s-range=0.1:0.5:0.1:0.1", 0.1, "needs start:stop:step"),
+        ],
+    )
+    def test_bad_s_values_exit_2(self, domain_file, tmp_path, capsys, source, base, message):
+        code = run(["sweep", "--domain", domain_file, "--p", 2, source,
+                    "--s-base", base, "--out", tmp_path / "s"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_huge_s_range_refused_before_it_is_built(self):
         # 0.1:0.9:8e-7 holds 1,000,001 values, one eigen solve each
         with pytest.raises(ValueError, match="1000001 values"):
@@ -304,6 +336,68 @@ class TestSweep:
                     "--tol", 1e-30, "--max-iter", 1, "--out", tmp_path / "sw"])
         assert code == 3
         assert (tmp_path / "sw.csv").exists()  # partial report still written
+
+
+_S_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "0", "1", "0.5", "0.50", "1e-12", "x", "0.5.5"]),
+    st.text(max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def interval8_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep_fuzz") / "interval8.json"
+    save_domain_spec(interval_spec(1 / 8), path)
+    return path
+
+
+class TestSweepFuzz:
+    """Arbitrary --s-list, --s-range and --s-base text exits 0 or 2, never a traceback.
+
+    s_sweep runs its own checks on what the CLI parsed, but its eigensolves,
+    distances and file writes are stubbed, so no solve runs.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flag=st.sampled_from(["--s-list", "--s-range"]),
+        fields=st.lists(_S_FIELD, max_size=5),
+        base=_S_FIELD,
+    )
+    @example(flag="--s-list", fields=["0.5", "0.5"], base="0.5")
+    @example(flag="--s-range", fields=["0.1", "0.9"], base="0.1")
+    @example(flag="--s-range", fields=["0.1", "0.9", "1e-12"], base="0.1")
+    @example(flag="--s-range", fields=["0.1", "0.5", "0.1"], base="0.3")
+    def test_s_parsing_exits_0_or_2(self, interval8_file, flag, fields, base):
+        solved = []
+
+        def fake_solve(dom, params, cfg, start=None):
+            # a converged pair with no solve behind it
+            solved.append(params.s)
+            u = GridFunction.from_omega(dom, np.ones(dom.n_omega))
+            return Eigenpair(lam=1.0, eigenfunction=u, iterations=1, residual=0.0)
+
+        text = (":" if flag == "--s-range" else ",").join(fields)
+        argv = ["sweep", "--domain", str(interval8_file), "--p", "2", f"{flag}={text}",
+                f"--s-base={base}", "--out", "unused"]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            mp.setattr(fraceig.asymptotics, "first_eigenpair", fake_solve)
+            mp.setattr(fraceig.asymptotics, "seminorm_distance", lambda u, v, params: 0.0)
+            mp.setattr(fraceig.cli, "save_sweep_report", lambda report, out: dict.fromkeys(
+                ("csv", "json", "plot"), out))
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses --s-base text that is no float
+                code = exc.code
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            assert solved and len(set(solved)) == len(solved)
+            assert all(0.0 < s < 1.0 for s in solved)
+        else:
+            assert not solved and err.getvalue().strip()
 
 
 class TestPoincare:

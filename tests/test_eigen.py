@@ -246,6 +246,36 @@ class TestFirstEigenpair:
             from_indicator.eigenfunction, from_random.eigenfunction, params
         ) <= 1e-5
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_a_given_start_takes_newton_first_and_starts_every_inner_solve(
+        self, interval16, p, monkeypatch
+    ):
+        # a given start gets a Newton step at once, whatever its residual;
+        # the quadratic-form inner start exists for the indicator's exact ties
+        steps = []
+        newton, inner = eigen_mod._bordered_newton, eigen_mod.minimize_energy
+
+        def recording_newton(kern, u, lam, grad):
+            steps.append("newton")
+            return newton(kern, u, lam, grad)
+
+        def recording_inner(kern, b, x0, gtol, max_evals):
+            steps.append("quadratic form" if x0 is None else "iterate")
+            return inner(kern, b, x0, gtol, max_evals)
+
+        monkeypatch.setattr(eigen_mod, "_bordered_newton", recording_newton)
+        monkeypatch.setattr(eigen_mod, "minimize_energy", recording_inner)
+        params = FracParams(s=0.5, p=p)
+        rng = np.random.default_rng(23)
+        start = GridFunction.from_omega(interval16, np.abs(rng.standard_normal(interval16.n_omega)) + 0.05)
+        pair = first_eigenpair(interval16, params, start=start)
+        assert pair.trace[0][1] > eigen_mod._NEWTON_SWITCH
+        assert steps[0] == "newton" and "iterate" in steps
+        assert "quadratic form" not in steps
+        steps.clear()
+        first_eigenpair(interval16, params)
+        assert steps[0] == "quadratic form" and steps.count("quadratic form") == 1
+
     def test_invariants(self, interval16):
         for p in (1.5, 2.0, 3.0):
             params = FracParams(s=0.45, p=p)
