@@ -177,6 +177,14 @@ def _as_int(value) -> int:
     return int(number)
 
 
+def _as_flags(value) -> NDArray:
+    """A flat list of 0/1 entries as an int8 array."""
+    flags = as_floats(value)
+    if flags.ndim != 1 or not np.all((flags == 0.0) | (flags == 1.0)):
+        raise ValueError(f"expected a flat list of 0/1 entries, got {value!r:.60}")
+    return flags.astype(np.int8)
+
+
 def _finite_field(d: dict, key: str, convert: Callable = _as_float):
     """json_field for a shape bound, which must be finite."""
     value = json_field(d, key, convert)
@@ -220,11 +228,16 @@ def _parse_shape(d: dict, dim: int, h: float):
     if kind == "mask":
         origin = _finite_field(d, "origin", as_floats)
         counts = json_field(d, "counts", lambda v: tuple(_as_int(c) for c in v))
-        cells = json_field(d, "cells", lambda v: np.asarray(v, dtype=np.int8))
+        cells = json_field(d, "cells", _as_flags)
         if origin.shape != (dim,) or len(counts) != dim:
             raise ValueError("mask origin/counts must match the domain dimension")
-        if cells.size != int(np.prod(counts)):
-            raise ValueError("mask cell array does not match counts")
+        if min(counts) < 1:
+            raise ValueError(f"mask field 'counts' must hold positive integers, got {list(counts)}")
+        if cells.size != math.prod(counts):
+            raise ValueError(
+                f"mask field 'cells' holds {cells.size} entries, but 'counts' {list(counts)} "
+                f"need {math.prod(counts)}"
+            )
         return _MaskShape(origin, counts, cells, h)
     raise ValueError(f"unknown shape type {kind!r}")
 
@@ -538,8 +551,8 @@ class GridDomain:
 
     def lattice_power_sums(self, counts: tuple, rows: NDArray, cols: NDArray, a: float) -> NDArray:
         """Sum over j in cols of (h |k_i - k_j|)^a, for i in rows, where rows and
-        cols are row-major flat indices k of a lattice of spacing h and extent
-        counts (0 where k_i = k_j).
+        cols are row-major flat indices k of a 1D or 2D lattice of spacing h
+        and extent counts (0 where k_i = k_j).
 
         cols splits into runs of points consecutive along the last lattice
         axis (ascending cols give the longest runs).  Seen from row i, a run
@@ -547,30 +560,35 @@ class GridDomain:
         table, and the table is even in dx, so each run costs two
         differences of the one-sided suffix sums U[m] = sum over d >= m of
         T[d] (one when the range does not straddle dx = 0).  Only that
-        dx >= 0 half of the table is built.  The suffix sums start at the
-        far end, so a far run never cancels against the large near terms.
-        The work is O(rows x runs + table size), in row chunks of about
-        _CHUNK_ENTRIES (row, run) pairs.
+        dx >= 0 half of the table is built, and only its rows of offsets
+        some (row, run) pair reads; each row keeps every dx, so its suffix
+        sums do not depend on which rows are built.  The suffix sums start
+        at the far end, so a far run never cancels against the large near
+        terms.  The work is O(rows x runs + table size), in row chunks of
+        about _CHUNK_ENTRIES (row, run) pairs.
         """
+        if len(rows) == 0 or len(cols) == 0:
+            return np.zeros(len(rows))
         n = counts[-1]
-        lo = np.array([1 - c for c in counts[:-1]] + [0])
-        half = self._offset_table(a, lo, np.array(counts) - 1).reshape(-1, n)  # dx = 0, ..., n - 1
-        suffix = np.zeros((len(half), n + 1))  # U[r, m], with U[r, n] = 0
-        np.cumsum(half[:, ::-1], axis=1, out=suffix[:, n - 1 :: -1])
-        del half  # frees the table before the row chunks
-
         # (lattice row) * (n + 1) + (last coordinate): points consecutive
         # along the last axis differ by 1, points of two lattice rows by more
         key = cols + cols // n
         first = key[np.diff(key, prepend=key[:1] - 2) != 1]
         span = key[np.diff(key, append=key[-1:] + 2) != 1] - first
         run_row, run_x = np.divmod(first, n + 1)
-        row_row, row_x = np.divmod(rows, n)
-        row_row += len(suffix) // 2  # the zero offset sits in the middle table row
+        row_row, row_x = np.divmod(rows, n)  # a lattice row is the first coordinate, 0 in 1D
+
+        lo = row_row.min() - run_row.max()  # the row offsets the pairs read
+        half = self._offset_table(a, np.array([lo, 0]), np.array([row_row.max() - run_row.min(), n - 1]))
+        half = half.reshape(-1, n)  # dx = 0, ..., n - 1
+        suffix = np.zeros((len(half), n + 1))  # U[r, m], with U[r, n] = 0
+        np.cumsum(half[:, ::-1], axis=1, out=suffix[:, n - 1 :: -1])
+        del half  # frees the table before the row chunks
+        row_row -= lo
         suffix = suffix.ravel()
 
         out = np.zeros(len(rows))
-        step = max(1, _CHUNK_ENTRIES // max(len(first), 1))
+        step = max(1, _CHUNK_ENTRIES // len(first))
         for start in range(0, len(rows), step):
             sl = slice(start, start + step)
             base = row_row[sl, None] - run_row

@@ -31,6 +31,7 @@ __all__ = [
     "save_problem",
     "save_sweep_report",
     "save_json",
+    "values_text",
 ]
 
 
@@ -39,8 +40,34 @@ def save_json(obj: dict, path) -> None:
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
+def values_text(u: GridFunction) -> str:
+    """json.dumps(u.values.tolist()), byte for byte.  GridFunction holds only
+    +-0.0 outside Omega, so every cell but the Omega cells and an exterior
+    -0.0 is the literal 0.0 and takes no repr."""
+    v = u.values
+    kept = np.flatnonzero(u.host.omega_mask | np.signbit(v))
+    words = ["0.0"] * len(v)
+    for i, word in zip(kept.tolist(), map(repr, v[kept].tolist())):
+        words[i] = word
+    return "[" + ", ".join(words) + "]"
+
+
+def _save_with_values(obj: dict, key: str, u: GridFunction, path) -> None:
+    """save_json(obj with u's values added as its last key), byte for byte."""
+    text = json.dumps(obj)[:-1] + ", " + json.dumps(key) + ": " + values_text(u) + "}\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _parse_json(text):
+    """json.loads, with a nesting too deep for the decoder refused as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON text nested too deeply to decode") from None
+
+
 def _load_object(path, what: str) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _parse_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{what} {path} must hold a JSON object, got {type(data).__name__}")
     return data
@@ -81,8 +108,7 @@ def save_grid_function(u: GridFunction, path, binary: bool = False) -> None:
             fh.write(json.dumps(head).encode("utf-8") + b"\n")
             fh.write(np.asarray(u.values, dtype="<f8").tobytes())
     else:
-        head["values"] = u.values.tolist()
-        save_json(head, path)
+        _save_with_values(head, "values", u, path)
 
 
 def load_grid_function(path, host: GridDomain) -> GridFunction:
@@ -92,9 +118,9 @@ def load_grid_function(path, host: GridDomain) -> GridFunction:
     raw = Path(path).read_bytes()
     first, _, payload = raw.partition(b"\n")
     try:
-        data = json.loads(first)
+        data = _parse_json(first)
     except ValueError:  # a JSON text over several lines
-        data, payload = json.loads(raw), b""
+        data, payload = _parse_json(raw), b""
     if not isinstance(data, dict):
         raise ValueError(f"grid function {path} must hold a JSON object, got {type(data).__name__}")
     _check_header(data, host)
@@ -118,9 +144,8 @@ def save_eigenpair(pair: Eigenpair, params: FracParams, path) -> None:
         "converged": pair.converged,
         "stop_reason": pair.stop_reason,
         "group_order": pair.group_order,
-        "u": pair.eigenfunction.values.tolist(),
     }
-    save_json(payload, path)
+    _save_with_values(payload, "u", pair.eigenfunction, path)
 
 
 def save_trace_csv(pair: Eigenpair, path) -> None:

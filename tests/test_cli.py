@@ -22,7 +22,7 @@ from fraceig import (
     poincare_constant,
 )
 from fraceig.cli import _parse_s_values, main
-from fraceig.serialize import load_domain_spec, save_domain_spec
+from fraceig.serialize import load_domain_spec, load_problem, save_domain_spec
 
 from conftest import box_spec, interval_spec
 
@@ -56,6 +56,7 @@ class TestEig:
         text = out.read_text()
         assert text.count("\n") == 1  # one line
         data = json.loads(text)
+        assert text == json.dumps(data) + "\n" and list(data)[-1] == "u"
         dom = build_domain(load_domain_spec(domain_file), t=4.0)
         pair = first_eigenpair(dom, FracParams(s=0.5, p=1.5))
         assert len(data["u"]) == dom.n_cells
@@ -400,6 +401,88 @@ class TestSweepFuzz:
             assert not solved and err.getvalue().strip()
 
 
+# any JSON value, NaN and the infinities included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _exit_code(argv, monkeypatches) -> int:
+    """main(argv)'s exit code, with the given attributes of fraceig.cli stubbed."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for name, value in monkeypatches.items():
+            mp.setattr(fraceig.cli, name, value)
+        code = main([str(a) for a in argv])
+    assert code == 0 or err.getvalue().startswith("error: ")
+    return code
+
+
+class TestFileFormatFuzz:
+    """A malformed problem file or mask raises ValueError in the library and
+    exits 2 through the CLI; the solves behind the CLI are stubbed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.fixed_dictionaries({}, optional={
+            "f": st.just(1.0) | st.lists(st.floats(), min_size=8, max_size=8) | _JSON,
+            "F": st.sampled_from(["none", None]) | _JSON,
+            "s": st.just(0.5) | _JSON,
+            "p": st.just(2.0) | _JSON,
+            "t": st.just(4.0) | _JSON,
+        }),
+        text=st.none() | st.text(max_size=12),
+    )
+    @example(fields={}, text="[" * 100_000)  # deeper than json's decoder recurses
+    @example(fields={"f": [1.0] * 8, "s": 0.5, "p": 2.0}, text=None)
+    def test_problem_files(self, interval8_file, fields, text):
+        path = interval8_file.with_name("problem.json")
+        path.write_text(json.dumps(fields) if text is None else text)
+        dom = build_domain(load_domain_spec(interval8_file), t=4.0)
+        try:
+            load_problem(path, dom)
+            want = 0
+        except ValueError:
+            want = 2
+        stubs = {
+            "solve_dirichlet": lambda prob, cfg: GridFunction.from_omega(prob.host, prob.f),
+            "save_grid_function": lambda w, out, binary=False: None,
+        }
+        argv = ["solve", "--domain", interval8_file, "--problem", path, "--out", "unused"]
+        assert _exit_code(argv, stubs) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        counts=st.lists(st.integers(-2, 4) | st.sampled_from([2**32, 2**64, 1.5, True, "2"]), max_size=3)
+        | _JSON,
+        cells=st.lists(st.integers(-1, 2), max_size=16) | st.lists(st.lists(st.integers(0, 1), max_size=3))
+        | _JSON,
+    )
+    @example(dim=2, counts=[2, 2], cells=[[1, 1], [1, 1]])
+    @example(dim=2, counts=[-2, -2], cells=[1, 1, 1, 1])
+    @example(dim=2, counts=[2**32, 2**32], cells=[])
+    @example(dim=2, counts=[2, 2], cells=[1, 2, -1, 1])
+    @example(dim=2, counts=[2, 2], cells=[1, 0, 0, 1])
+    def test_masks(self, interval8_file, dim, counts, cells):
+        shape = {"type": "mask", "origin": [0.25] * dim, "counts": counts, "cells": cells}
+        path = interval8_file.with_name("mask.json")
+        path.write_text(json.dumps({"dim": dim, "h": 0.5, "shape": shape}))
+        try:
+            build_domain(load_domain_spec(path), t=4.0)
+            want = 0
+        except ValueError:
+            want = 2
+        if want == 0:  # only a flat 0/1 list with one entry per cell of the counts
+            assert len(counts) == dim and all(c >= 1 and c == int(c) for c in counts)
+            assert all(c in (0, 1) for c in cells) and len(cells) == np.prod(counts)
+        argv = ["poincare", "--domain", path, "--s", 0.5, "--p", 2]
+        assert _exit_code(argv, {"poincare_constant": lambda dom, params: 1.0}) == want
+
+
 class TestPoincare:
     def test_prints_constant(self, domain_file, capsys):
         code = run(["poincare", "--domain", domain_file, "--s", 0.5, "--p", 2])
@@ -502,6 +585,25 @@ class TestPoincare:
         code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2, "--t", t])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts, cells, field",
+        [
+            ([2, 2], [[1, 1], [1, 1]], "field 'cells'"),
+            ([-2, -2], [1, 1, 1, 1], "field 'counts'"),
+            ([2**32, 2**32], [], "field 'cells'"),
+            ([2, 2], [1, 2, -1, 1], "field 'cells'"),
+        ],
+        ids=["nested", "negative-counts", "wrapping-product", "not-0-or-1"],
+    )
+    def test_malformed_mask_exits_2(self, tmp_path, capsys, counts, cells, field):
+        path = tmp_path / "domain.json"
+        shape = {"type": "mask", "origin": [0.25, 0.25], "counts": counts, "cells": cells}
+        path.write_text(json.dumps({"dim": 2, "h": 0.5, "shape": shape}))
+        code = run(["poincare", "--domain", path, "--s", 0.5, "--p", 2])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
 
     @pytest.mark.parametrize("dim", [1.9, True])
     def test_non_integer_dim_exits_2(self, tmp_path, capsys, dim):

@@ -19,6 +19,7 @@ from fraceig import (
     DirichletProblem,
     DomainSpec,
     FracParams,
+    GridDomain,
     GridFunction,
     PairFunction,
     apply_operator,
@@ -36,6 +37,15 @@ from fraceig import (
 
 from _oracles import max_pairwise_distance, poincare_search
 from conftest import box_spec, interval_spec, mask_spec, union_spec
+
+
+# (counts, cells, the field the error names) of 2 x 2 masks at h = 1/2
+MALFORMED_MASKS = [
+    ([2, 2], [[1, 1], [1, 1]], "field 'cells'"),  # nested: once an IndexError
+    ([-2, -2], [1, 1, 1, 1], "field 'counts'"),  # once "no cell center falls inside"
+    ([2**32, 2**32], [], "field 'cells'"),  # the product once wrapped to 0
+    ([2, 2], [1, 2, -1, 1], "field 'cells'"),  # once read as inside
+]
 
 
 class TestBuildDomain:
@@ -156,6 +166,12 @@ class TestBuildDomain:
         mask = {"type": "mask", "origin": [0.125], "counts": counts, "cells": [1, 1, 1, 1]}
         with pytest.raises(ValueError, match="field 'counts'"):
             build_domain(DomainSpec(dim=1, h=0.25, shape=mask), t=4.0)
+
+    @pytest.mark.parametrize("counts, cells, field", MALFORMED_MASKS)
+    def test_malformed_mask_refused(self, counts, cells, field):
+        mask = {"type": "mask", "origin": [0.25, 0.25], "counts": counts, "cells": cells}
+        with pytest.raises(ValueError, match=field):
+            build_domain(DomainSpec(dim=2, h=0.5, shape=mask), t=4.0)
 
     @pytest.mark.parametrize(
         "build, field",
@@ -395,6 +411,30 @@ class TestPairPowerSums:
         assert box8.pair_power(none, rows, -3.0, "t").shape == (0, len(rows))
         assert box8.pair_power_sums(rows, none, -3.0).tolist() == [0.0] * len(rows)
         assert box8.pair_power_sums(none, rows, -3.0).shape == (0,)
+
+    def test_each_row_sums_alike_alone_and_with_all_rows(self):
+        # a row's sums do not depend on which other rows set the table's extent
+        dom = build_domain(box_spec(1 / 16), t=4.0)
+        rows, cols = dom.omega_indices, dom.other_indices
+        together = dom.pair_power_sums(rows, cols, -2.75)
+        alone = [dom.pair_power_sums(rows[k : k + 1], cols, -2.75)[0] for k in range(0, len(rows), 7)]
+        assert np.array(alone).tobytes() == together[::7].tobytes()
+
+    def test_offset_table_spans_only_the_rows_read(self, box8, monkeypatch):
+        extents = []
+        build = GridDomain._offset_table
+
+        def spy(self, a, lo, hi):
+            extents.append((lo.tolist(), hi.tolist()))
+            return build(self, a, lo, hi)
+
+        monkeypatch.setattr(GridDomain, "_offset_table", spy)
+        rows, cols = box8.omega_indices, box8.other_indices
+        box8.pair_power_sums(rows, cols, -3.0)
+        row_y, col_y = box8.coords[rows, 0], box8.coords[cols, 0]
+        n = box8.counts[-1]
+        assert extents == [([row_y.min() - col_y.max(), 0], [row_y.max() - col_y.min(), n - 1])]
+        assert row_y.max() - col_y.min() < box8.counts[0] - 1  # fewer rows than the whole lattice's
 
     def test_row_chunks_bound_the_memory(self):
         # 4,096 rows x 424 exterior runs: one unchunked temporary would take 13 MiB
