@@ -136,14 +136,14 @@ def minimize_energy(
 ) -> DescentResult:
     """minimize_convex on (1/p) kern.energy(w) - <b, w>.
 
-    With x0 None the solve starts from the tie-free solution v of Q v = b,
-    Q = kern.quad_matrix (built only for this start), scaled to the
-    objective's exact minimizer along v, (<b, v>/energy(v))^(1/(p-1)) v: at
-    a much smaller scale a p < 2 energy's curvature overestimates wildly
-    and Newton crawls.
+    Start rule: x0, unless it is None or constant (exact pair ties floor a
+    p != 2 Hessian); then the tie-free solution v of Q v = b, Q =
+    kern.quad_matrix (built only for this start), scaled to the exact
+    minimizer along v, (<b, v>/energy(v))^(1/(p-1)) v: at a much smaller
+    scale a p < 2 energy's curvature overestimates wildly and Newton crawls.
     """
     p = kern.params.p
-    if x0 is None:
+    if x0 is None or np.ptp(x0) == 0.0:
         x0 = scipy.linalg.cho_solve(scipy.linalg.cho_factor(kern.quad_matrix), b)
         e_v, bv = kern.energy(x0), float(np.dot(b, x0))
         if e_v > 0.0 and bv > 0.0:

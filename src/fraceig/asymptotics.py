@@ -112,15 +112,13 @@ def s_sweep(
 
     The s values must be distinct and lie in (0, 1), and s_base must be
     one of them.  The eigen solves run one after another, in increasing s,
-    and continue in s: each row's solve starts from the previous row's
-    eigenfunction, on which the first eigenpair depends smoothly, so it
-    takes a few Newton steps where a solve from the indicator also pays
-    the inverse-power phase.  The first row, and a row after one that did
-    not converge, start from the indicator.  Either start reaches the same
-    eigenpair within the stopping tolerance, but near p = 1 a seeded solve
-    can stall where the indicator's does not, so a seeded row that does
-    not converge is solved again from the indicator.  Failed solves are
-    kept as rows flagged not converged.  Each row is logged at DEBUG.
+    and continue in s.  Start rule: a row starts from the previous row's
+    eigenfunction if that row converged (the first eigenpair depends
+    smoothly on s, so the solve takes a few Newton steps where a solve
+    from the indicator also pays the inverse-power phase), and from the
+    indicator otherwise; first_eigenpair handles a start that fails.
+    Failed solves are kept as rows flagged not converged.  Each row is
+    logged at DEBUG.
 
     Eigenfunction distances to the base eigenfunction use the exponent
     min(s, s_base) so the seminorm stays finite on both arguments.
@@ -136,22 +134,15 @@ def s_sweep(
     if s_base not in s_values:
         raise ValueError("s_base must be one of the sweep values")
 
-    def solve(s: float, start: GridFunction | None) -> Eigenpair:
-        try:
-            return first_eigenpair(dom, FracParams(s=s, p=p), cfg, start=start)
-        except ConvergenceError as exc:
-            if exc.partial is None:
-                raise
-            return exc.partial
-
     pairs: dict[float, Eigenpair] = {}
     start = None
     for s in s_values:
-        pair = solve(s, start)
-        if start is not None and not pair.converged:
-            _log.debug("seeded solve at s=%r ended %s; solving again from the indicator",
-                       s, pair.stop_reason)
-            pair, start = solve(s, None), None
+        try:
+            pair = first_eigenpair(dom, FracParams(s=s, p=p), cfg, start=start)
+        except ConvergenceError as exc:
+            if exc.partial is None:
+                raise
+            pair = exc.partial
         _log.debug("sweep row s=%r: seeded %s, %d outer iterations, stop %s",
                    s, start is not None, pair.iterations, pair.stop_reason)
         pairs[s] = pair

@@ -75,11 +75,11 @@ def solve_dirichlet(
     so descent converges globally; the returned iterate has weak residual
     below cfg.inner_tol relative to the datum scale, or a gradient at most
     the computed float floor kern.gradient_floor (assembly roundoff and,
-    for p < 2, pair-difference granularity).  start overrides the default
-    scale-matched starting point (the minimizer is unique, so any start
-    reaches it).  cfg.max_iter_inner bounds the objective evaluations of
-    the single inner solve; ConvergenceError (carrying the last iterate)
-    is raised when that solve ends above the float floor.
+    for p < 2, pair-difference granularity).  start, unless constant,
+    overrides the default scale-matched start (the minimizer is unique,
+    so any start reaches it).  cfg.max_iter_inner bounds the objective
+    evaluations of the single inner solve; ConvergenceError (carrying the
+    last iterate) is raised when that solve ends above the float floor.
     """
     dom = prob.host
     kern = energy_kernel(dom, prob.params)

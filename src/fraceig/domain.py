@@ -144,9 +144,10 @@ def _as_float(value) -> float:
 
 
 def as_floats(value) -> NDArray:
-    """A number or nested list of numbers as a float array; strings and bools are refused."""
+    """A number or nested list of numbers as a float array; a string or bool anywhere is refused."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    # numpy reads a bool among numbers as 0/1; the object array keeps it
+    if arr.dtype.kind not in "iuf" or bool in set(map(type, np.asarray(value, dtype=object).ravel())):
         raise TypeError(f"expected numbers, got {value!r:.60}")
     return arr.astype(float, copy=False)
 

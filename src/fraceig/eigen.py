@@ -110,12 +110,12 @@ def _normalized(w: NDArray, p: float, mass: NDArray) -> NDArray | None:
 
 
 def _inverse_power_step(
-    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, indicator: bool, max_evals: int
+    kern: EnergyKernel, u_om: NDArray, lam: float, res: float, max_evals: int
 ) -> NDArray:
     """Normalized |w| for the minimizer w of (1/p) energy(w) - <b, w>, b = lam phi_p(u) mass.
 
-    The inner solve starts from u, or from minimize_energy's quadratic-form
-    start when u is the indicator.  It stops at gradient norm
+    The inner solve starts from u, at the scale of the minimizer (u itself
+    when u is an eigenfunction).  It stops at gradient norm
     1e-2 min(1, res) ||b|| for the outer residual res, within max_evals
     objective evaluations; an unconverged inner run still yields its last
     iterate, which the outer loop accepts or refuses on lambda.
@@ -126,11 +126,7 @@ def _inverse_power_step(
     # outer residual; the tolerance tightens as the eigenpair settles
     b_norm = float(np.linalg.norm(b))
     gtol = 1e-2 * min(1.0, res) * max(b_norm, 1e-300)
-    # the indicator ties every pair inside Omega exactly, where a p != 2
-    # Hessian is floored or blows up, so the quadratic-form start gives it
-    # a tie-free first inner iterate; any other u is already at the scale
-    # of the minimizer, which is u itself when u is an eigenfunction
-    inner = minimize_energy(kern, b, None if indicator else u_om, gtol, max_evals)
+    inner = minimize_energy(kern, b, u_om, gtol, max_evals)
     u_new = _normalized(np.abs(inner.x), p, mass)
     if u_new is None:
         raise ConvergenceError("inner solve collapsed to zero", partial=None)
@@ -190,26 +186,26 @@ def first_eigenpair(
     orbit.  Norms carry the orbit sizes (kern.mass, kern.dual_norm), so
     residual and tol mean what they mean on the cells.
 
-    Without a start the solve begins at the indicator of Omega.  Once the
-    residual is at most _NEWTON_SWITCH, each outer step first tries a
-    bordered Newton step; a given start, such as the eigenfunction at a
-    nearby s (s_sweep), also gets one at the first step whatever its
-    residual.  One floor test decides convergence: the weak residual is
-    at most cfg.tol, or res * ||b|| is at most kern.gradient_floor(u),
-    b = lambda phi_p(u) h^N.  A Newton step that fails, raises lambda by
-    over 1e-12 relative or raises the residual is refused (logged at
-    DEBUG).  At or below the switch the solve then stops if the floor
-    test holds; otherwise, and always above the switch, it takes the
-    inverse-power step, whose inner tolerance follows the residual alone.
-    Each inner solve starts from the current iterate, except the first
-    one from the indicator (_inverse_power_step).  The loop also stops once
-    an accepted step moves lambda by at most cfg.tol relative at the
-    floor, or at the float fixed point: a step that leaves u unchanged or
-    raises lambda by over 1e-12 relative, which is refused.  converged is
-    the floor test at exit; otherwise ConvergenceError carries the partial
-    eigenpair.  cfg.max_iter_inner bounds the objective evaluations of
-    each inner solve, whose tolerance _inverse_power_step sets from the
-    outer residual; cfg.inner_tol is not read.
+    Start rule: the given start, such as the eigenfunction at a nearby s
+    (s_sweep), or else the indicator of Omega; a given start that ends
+    unconverged is solved again from the indicator (logged at DEBUG).
+    Once the residual is at most _NEWTON_SWITCH, each outer step first
+    tries a bordered Newton step, as does a given start's first step
+    whatever its residual.  One floor test decides convergence: the weak
+    residual is at most cfg.tol, or res * ||b|| is at most
+    kern.gradient_floor(u), b = lambda phi_p(u) h^N.  A Newton step that
+    fails, raises lambda by over 1e-12 relative or raises the residual is
+    refused (logged at DEBUG).  At or below the switch the solve then
+    stops if the floor test holds; otherwise, and always above the switch,
+    it takes the inverse-power step from the current iterate.  The loop
+    also stops once an accepted step moves lambda by at most cfg.tol
+    relative at the floor, or at the float fixed point: a step that leaves
+    u unchanged or raises lambda by over 1e-12 relative, which is refused.
+    converged is the floor test at exit; otherwise ConvergenceError
+    carries the partial eigenpair.  cfg.max_iter_inner bounds the
+    objective evaluations of each inner solve, whose tolerance
+    _inverse_power_step sets from the outer residual alone; cfg.inner_tol
+    is not read.
     """
     if dom.n_omega == 0:
         raise ValueError("domain has no Omega cell")
@@ -257,8 +253,7 @@ def first_eigenpair(
                 if res <= _NEWTON_SWITCH and at_floor():
                     break
         if u_new is None:
-            indicator = start is None and n == 1
-            u_new = _inverse_power_step(kern, u_om, lam, res, indicator, cfg.max_iter_inner)
+            u_new = _inverse_power_step(kern, u_om, lam, res, cfg.max_iter_inner)
             lam_new, grad_new, res_new = _evaluate(kern, u_new)
         if lam_new > lam * (1.0 + 1e-12) or np.array_equal(u_new, u_om):
             stop_reason = "stalled"  # float fixed point: keep the better iterate
@@ -273,6 +268,9 @@ def first_eigenpair(
     converged = at_floor()
     if converged:
         stop_reason = "tol" if res <= cfg.tol else "float floor"
+    elif start is not None:
+        _log.debug("given start ended %s; solving again from the indicator", stop_reason)
+        return first_eigenpair(dom, params, cfg)
     pair = Eigenpair(
         lam=lam,
         eigenfunction=GridFunction.from_omega(dom, u_om[orbit]),

@@ -126,7 +126,7 @@ def load_grid_function(path, host: GridDomain) -> GridFunction:
     _check_header(data, host)
     if "values" not in data and payload:
         return GridFunction(np.frombuffer(payload, dtype="<f8").copy(), host)
-    if payload.strip():
+    if payload.strip(b" \t\r\n"):  # JSON whitespace only, as json.loads allows
         raise ValueError(f"grid function {path} holds data after its JSON object")
     return GridFunction(json_field(data, "values", as_floats), host)
 

@@ -105,24 +105,6 @@ class TestSSweep:
         assert report.rows[0].converged
         assert starts[0] is None and starts[1] is report.eigenfunctions[0.3]
 
-    def test_a_stalled_seeded_row_is_solved_again_from_the_indicator(
-        self, interval64, monkeypatch
-    ):
-        # at p = 1.1 the solve from the s = 0.5 eigenfunction stalls at s = 0.65
-        seeded = []
-        real = fraceig.asymptotics.first_eigenpair
-
-        def recording(dom, params, cfg, start=None):
-            seeded.append(start is not None)
-            return real(dom, params, cfg, start=start)
-
-        monkeypatch.setattr(fraceig.asymptotics, "first_eigenpair", recording)
-        report = s_sweep(interval64, 1.1, [0.5, 0.65], 0.5)
-        assert seeded == [False, True, False]
-        alone = real(interval64, FracParams(s=0.65, p=1.1), SolverConfig())
-        row = report.row_at(0.65)
-        assert row.converged and row.lam == alone.lam
-
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("name", ["interval16", "box8"])
     def test_continuation_changes_only_the_work(self, name, p, request):

@@ -22,7 +22,7 @@ from fraceig import (
     poincare_constant,
 )
 from fraceig.cli import _parse_s_values, main
-from fraceig.serialize import load_domain_spec, load_problem, save_domain_spec
+from fraceig.serialize import load_domain_spec, load_grid_function, load_problem, save_domain_spec
 
 from conftest import box_spec, interval_spec
 
@@ -409,6 +409,13 @@ _JSON = st.recursive(
 )
 
 
+def _holds_bool(value) -> bool:
+    """Whether a parsed JSON value holds a boolean at any depth."""
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _exit_code(argv, monkeypatches) -> int:
     """main(argv)'s exit code, with the given attributes of fraceig.cli stubbed."""
     err = io.StringIO()
@@ -428,7 +435,7 @@ class TestFileFormatFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
         fields=st.fixed_dictionaries({}, optional={
-            "f": st.just(1.0) | st.lists(st.floats(), min_size=8, max_size=8) | _JSON,
+            "f": st.just(1.0) | st.lists(st.floats() | st.booleans(), min_size=8, max_size=8) | _JSON,
             "F": st.sampled_from(["none", None]) | _JSON,
             "s": st.just(0.5) | _JSON,
             "p": st.just(2.0) | _JSON,
@@ -447,6 +454,8 @@ class TestFileFormatFuzz:
             want = 0
         except ValueError:
             want = 2
+        if want == 0:
+            assert not _holds_bool(fields.get("f")) and not _holds_bool(fields.get("F"))
         stubs = {
             "solve_dirichlet": lambda prob, cfg: GridFunction.from_omega(prob.host, prob.f),
             "save_grid_function": lambda w, out, binary=False: None,
@@ -459,7 +468,8 @@ class TestFileFormatFuzz:
         dim=st.sampled_from([1, 2]),
         counts=st.lists(st.integers(-2, 4) | st.sampled_from([2**32, 2**64, 1.5, True, "2"]), max_size=3)
         | _JSON,
-        cells=st.lists(st.integers(-1, 2), max_size=16) | st.lists(st.lists(st.integers(0, 1), max_size=3))
+        cells=st.lists(st.integers(-1, 2) | st.booleans(), max_size=16)
+        | st.lists(st.lists(st.integers(0, 1), max_size=3))
         | _JSON,
     )
     @example(dim=2, counts=[2, 2], cells=[[1, 1], [1, 1]])
@@ -467,6 +477,7 @@ class TestFileFormatFuzz:
     @example(dim=2, counts=[2**32, 2**32], cells=[])
     @example(dim=2, counts=[2, 2], cells=[1, 2, -1, 1])
     @example(dim=2, counts=[2, 2], cells=[1, 0, 0, 1])
+    @example(dim=2, counts=[2, 2], cells=[1, True, 1, 1])
     def test_masks(self, interval8_file, dim, counts, cells):
         shape = {"type": "mask", "origin": [0.25] * dim, "counts": counts, "cells": cells}
         path = interval8_file.with_name("mask.json")
@@ -479,8 +490,51 @@ class TestFileFormatFuzz:
         if want == 0:  # only a flat 0/1 list with one entry per cell of the counts
             assert len(counts) == dim and all(c >= 1 and c == int(c) for c in counts)
             assert all(c in (0, 1) for c in cells) and len(cells) == np.prod(counts)
+            assert not _holds_bool(cells)
         argv = ["poincare", "--domain", path, "--s", 0.5, "--p", 2]
         assert _exit_code(argv, {"poincare_constant": lambda dom, params: 1.0}) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["min", "max", "cells", "f", "F", "values"]), at=st.integers(0, 10**6))
+    @example(field="min", at=1)  # {"min": [0, false], "max": [1, true]} read as the unit box
+    @example(field="cells", at=1)  # "cells": [1, true, 1, 1] read as four cells
+    def test_a_bool_in_a_numeric_list_names_its_field(self, interval8_file, field, at):
+        # every list loads as written; the bool replaces an entry equal to it
+        # as a number, which numpy would read back unchanged
+        dom = build_domain(load_domain_spec(interval8_file), t=4.0)
+        path = interval8_file.with_name(f"bool_{field}.json")
+        if field in ("min", "max", "cells"):
+            shape = {"type": "box", "min": [0, 0], "max": [1, 1]} if field != "cells" else \
+                {"type": "mask", "origin": [0.25, 0.25], "counts": [2, 2], "cells": [1, 1, 1, 1]}
+            data, numbers = {"dim": 2, "h": 0.5, "shape": shape}, shape[field]
+            load = lambda: build_domain(load_domain_spec(path), t=4.0)
+            argv = ["poincare", "--domain", path, "--s", 0.5, "--p", 2]
+            stubs = {"poincare_constant": lambda dom, params: 1.0}
+        elif field == "values":
+            data = {"dim": 1, "h": dom.h, "counts": list(dom.counts), "t": dom.t,
+                    "values": dom.omega_mask.astype(int).tolist()}
+            numbers = data["values"]
+            load, argv = lambda: load_grid_function(path, dom), None  # no command reads one
+        else:
+            data = {"f": [1] * dom.n_omega, "s": 0.5, "p": 2.0}
+            if field == "F":
+                data["F"] = np.zeros((dom.n_cells, dom.n_cells), dtype=int).tolist()
+            numbers = data["F"][at // dom.n_cells % dom.n_cells] if field == "F" else data["f"]
+            load = lambda: load_problem(path, dom)
+            argv = ["solve", "--domain", interval8_file, "--problem", path, "--out", "unused"]
+            stubs = {
+                "solve_dirichlet": lambda prob, cfg: GridFunction.from_omega(prob.host, prob.f),
+                "save_grid_function": lambda w, out, binary=False: None,
+            }
+        path.write_text(json.dumps(data))
+        load()
+        assert argv is None or _exit_code(argv, stubs) == 0
+        k = at % len(numbers)
+        numbers[k] = bool(numbers[k])
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            load()
+        assert argv is None or _exit_code(argv, stubs) == 2
 
 
 class TestPoincare:

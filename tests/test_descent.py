@@ -35,6 +35,9 @@ def test_minimize_energy_builds_q_only_for_its_default_start(box8, monkeypatch):
     assert res.converged and len(reads) == 1
     minimize_energy(kern, b, res.x, 1e-10 * np.linalg.norm(b), 1000)
     assert len(reads) == 1
+    # a constant x0 ties every pair: it takes the same start as None
+    tied = minimize_energy(kern, b, np.full(box8.n_omega, 0.3), 1e-10 * np.linalg.norm(b), 1000)
+    assert len(reads) == 2 and np.array_equal(tied.x, res.x)
 
 
 def _separable(p, b):

@@ -63,6 +63,15 @@ class TestSolveDirichlet:
         w2 = solve_dirichlet(prob, start=start)
         assert seminorm_distance(w1, w2, P15) <= 1e-8
 
+    @pytest.mark.parametrize("params", [P15, P3])
+    def test_a_constant_start_takes_the_default_start(self, interval64, params):
+        # a constant start ties every pair, where the p != 2 Hessian is
+        # floored; minimize_energy replaces it by its tie-free start
+        prob = DirichletProblem(interval64, params, np.ones(interval64.n_omega))
+        w = solve_dirichlet(prob)
+        tied = solve_dirichlet(prob, start=GridFunction.indicator(interval64) * 1e-3)
+        assert np.array_equal(tied.values, w.values)
+
     def test_energy_identity_at_solution(self, interval16):
         rng = np.random.default_rng(33)
         for params in (P2, P15, P3):

@@ -20,6 +20,7 @@ from fraceig import (
     lp_norm,
     p2_oracle,
     poincare_constant,
+    s_sweep,
     seminorm_distance,
 )
 from fraceig.core import energy_kernel, phi_p
@@ -260,7 +261,9 @@ class TestFirstEigenpair:
             return newton(kern, u, lam, grad)
 
         def recording_inner(kern, b, x0, gtol, max_evals):
-            steps.append("quadratic form" if x0 is None else "iterate")
+            # minimize_energy's tie rule: an x0 with no spread takes the
+            # quadratic-form start
+            steps.append("quadratic form" if np.ptp(x0) == 0.0 else "iterate")
             return inner(kern, b, x0, gtol, max_evals)
 
         monkeypatch.setattr(eigen_mod, "_bordered_newton", recording_newton)
@@ -275,6 +278,21 @@ class TestFirstEigenpair:
         steps.clear()
         first_eigenpair(interval16, params)
         assert steps[0] == "quadratic form" and steps.count("quadratic form") == 1
+
+    def test_a_stalled_start_is_solved_again_from_the_indicator(self, interval64, caplog):
+        # at p = 1.1 the solve from the s = 0.5 eigenfunction stalls at s = 0.65
+        seed = first_eigenpair(interval64, FracParams(s=0.5, p=1.1)).eigenfunction
+        params = FracParams(s=0.65, p=1.1)
+        alone = first_eigenpair(interval64, params)
+        with caplog.at_level(logging.DEBUG, logger="fraceig.eigen"):
+            pair = first_eigenpair(interval64, params, start=seed)
+        again = [r for r in caplog.records if "solving again from the indicator" in r.getMessage()]
+        assert len(again) == 1 and again[0].levelno == logging.DEBUG
+        assert pair.converged and pair.lam == alone.lam
+        assert pair.iterations == alone.iterations
+        # a sweep row seeded there is that solve too
+        report = s_sweep(interval64, 1.1, [0.5, 0.65], 0.5)
+        assert report.row_at(0.65).converged and report.row_at(0.65).lam == alone.lam
 
     def test_invariants(self, interval16):
         for p in (1.5, 2.0, 3.0):

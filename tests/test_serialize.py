@@ -395,6 +395,7 @@ class TestGridFunctionFuzz:
     @given(lines=st.booleans(), suffix=st.text(st.characters(max_codepoint=127), max_size=8))
     @example(lines=False, suffix="[1.0]\n")
     @example(lines=True, suffix="\n \n")
+    @example(lines=False, suffix="\x0c")  # whitespace to bytes.strip, not to JSON
     def test_data_after_a_json_object(self, fuzz_dir, interval8, lines, suffix):
         u = GridFunction.from_omega(interval8, np.arange(1.0, 9.0))
         path = fuzz_dir / "u.json"
